@@ -15,6 +15,7 @@ from .errors import (
     ConditionGFailure,
     EmptyComponentError,
     IncompatibleFamilyError,
+    InvariantError,
     UndeterminedError,
 )
 from .fintopos import (

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import IncompatibleFamilyError
+from .errors import IncompatibleFamilyError, InvariantError
 from .fintopos import Family, family_components
 from .family import SelfDualFamily, span_morphism_pairs
 from .groupoid import (
@@ -150,7 +150,9 @@ def enumerate_s_descent_data(sset: TruncSSet, size_bound: int = None, carriers=N
             cand = SDescentDatum(
                 carrier=dict(carrier), s={l: dict(m) for l, m in zip(sset.s1, combo)}
             )
-            assert not validate_s_descent(sset, cand)
+            problems = validate_s_descent(sset, cand)
+            if problems:
+                raise InvariantError("; ".join(problems))
             out.append(cand)
     return out
 
@@ -483,7 +485,9 @@ def enumerate_h_descent_data(f: SelfDualFamily, size_bound: int = None, carriers
                 for p in fam.h0.base.points:
                     table.setdefault(p, {})
             cand = HDescentDatum(family=f, carrier=dict(carrier), sigma_hat=sigma)
-            assert not validate_h_descent(cand)
+            problems = validate_h_descent(cand)
+            if problems:
+                raise InvariantError("; ".join(problems))
             out.append(cand)
     return out
 
@@ -542,6 +546,8 @@ def enumerate_u_descent_data(cover: Family, size_bound: int = None, carriers=Non
                 for p in base.points:
                     sigma[pair].setdefault(p, {})
             cand = UDescentDatum(cover=cover, carrier=dict(carrier), sigma=sigma)
-            assert not validate_u_descent(cand)
+            problems = validate_u_descent(cand)
+            if problems:
+                raise InvariantError("; ".join(problems))
             out.append(cand)
     return out

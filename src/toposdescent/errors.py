@@ -25,3 +25,10 @@ class ConditionGFailure(ValueError):
 class UndeterminedError(RuntimeError):
     """A bounded word-equality search exhausted its budget, so the verdict
     propagates as undetermined rather than true or false."""
+
+
+class InvariantError(AssertionError):
+    """A construction broke a guarantee it makes about its own output.
+
+    Raised by explicit checks rather than ``assert`` statements, so the
+    guarantee is still checked under ``python -O``."""

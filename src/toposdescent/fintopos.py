@@ -9,9 +9,11 @@ products, quotients, components and hom sets are computed by direct
 enumeration.
 
 Elements carry stable, ordered labels so that every enumeration in the
-library is deterministic.  All values are immutable after construction
-and all operations are pure functions; values may be shared freely
-between threads.
+library is deterministic.  ``sorted_labels`` computes the sort key of each
+distinct label (and of each distinct sub-label) once per sort, in a table
+that lives only as long as that sort; there is no process-wide cache.
+All values are immutable after construction and all operations are pure
+functions; values may be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -22,17 +24,28 @@ from dataclasses import dataclass, field
 from .errors import BaseMismatchError, EmptyComponentError
 
 
-def label_key(x):
-    """Total order on labels (ints, strings, and nested tuples of them)."""
+def label_key(x, memo=None):
+    """Total order on labels (ints, strings, and nested tuples of them).
+
+    ``memo``, when given, is a caller-owned dict from tuple labels to their
+    keys; a tuple met again, at any depth, reuses its key.
+    """
     if isinstance(x, tuple):
-        return (2, tuple(label_key(e) for e in x))
+        if memo is None:
+            return (2, tuple(label_key(e) for e in x))
+        key = memo.get(x)
+        if key is None:
+            key = memo[x] = (2, tuple(label_key(e, memo) for e in x))
+        return key
     if isinstance(x, str):
         return (1, x)
     return (0, "", x)
 
 
 def sorted_labels(xs):
-    return tuple(sorted(xs, key=label_key))
+    """The labels in ``label_key`` order, each distinct key computed once."""
+    memo = {}
+    return tuple(sorted(xs, key=lambda x: label_key(x, memo)))
 
 
 @dataclass(frozen=True)
@@ -45,6 +58,8 @@ class FinPoset:
 
     points: tuple
     relation: frozenset
+    _strict_pairs: tuple = field(default=None, init=False, compare=False, repr=False)
+    _top_down: tuple = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def from_pairs(cls, points, pairs=()):
@@ -77,20 +92,29 @@ class FinPoset:
         return (p, q) in self.relation
 
     def strict_pairs(self):
-        """All pairs (p, q) with p < q, in label order."""
-        return tuple(
-            sorted(
-                ((p, q) for (p, q) in self.relation if p != q),
-                key=lambda pq: (label_key(pq[0]), label_key(pq[1])),
+        """All pairs (p, q) with p < q, in label order (computed once)."""
+        if self._strict_pairs is None:
+            pairs = tuple(
+                sorted(
+                    ((p, q) for (p, q) in self.relation if p != q),
+                    key=lambda pq: (label_key(pq[0]), label_key(pq[1])),
+                )
             )
-        )
+            object.__setattr__(self, "_strict_pairs", pairs)
+        return self._strict_pairs
 
     def points_above(self, p):
         return tuple(q for q in self.points if self.leq(p, q) and q != p)
 
     def top_down(self):
-        """Points ordered so that every point comes after all points above it."""
-        return tuple(sorted(self.points, key=lambda p: (len(self.points_above(p)), label_key(p))))
+        """Points ordered so that every point comes after all points above it
+        (computed once)."""
+        if self._top_down is None:
+            order = tuple(
+                sorted(self.points, key=lambda p: (len(self.points_above(p)), label_key(p)))
+            )
+            object.__setattr__(self, "_top_down", order)
+        return self._top_down
 
 
 @dataclass
@@ -109,6 +133,9 @@ class Presheaf:
 
     def __post_init__(self):
         self.fibers = {p: sorted_labels(self.fibers.get(p, ())) for p in self.base.points}
+        for p, fib in self.fibers.items():
+            if len(self.fiber_set(p)) != len(fib):
+                raise ValueError(f"fiber at {p!r} lists an element twice")
         strict = self.base.strict_pairs()
         rest = {}
         for pq in strict:
@@ -166,10 +193,12 @@ class Presheaf:
         return tuple(p for p in self.base.points if self.fibers[p])
 
     def key(self):
-        """Canonical hashable form, used to label spans deterministically."""
+        """Canonical hashable form, used to label spans deterministically.
+
+        Each restriction's items follow its source fiber, which is sorted."""
         fib = tuple((p, self.fibers[p]) for p in self.base.points)
         res = tuple(
-            (pq, tuple(sorted(m.items(), key=lambda kv: label_key(kv[0]))))
+            (pq, tuple((e, m[e]) for e in self.fibers[pq[1]]))
             for pq, m in sorted(self.restrictions.items())
         )
         return (fib, res)
@@ -233,8 +262,9 @@ class PresheafMap:
         return PresheafMap(self.cod, self.dom, comp)
 
     def key(self):
+        """Canonical hashable form: each component's items in fiber order."""
         return tuple(
-            (p, tuple(sorted(self.comp[p].items(), key=lambda kv: label_key(kv[0]))))
+            (p, tuple((e, self.comp[p][e]) for e in self.dom.fibers[p]))
             for p in self.dom.base.points
         )
 

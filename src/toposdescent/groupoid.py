@@ -23,7 +23,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 
-from .errors import ConditionGFailure
+from .errors import ConditionGFailure, InvariantError
 from .fintopos import label_key
 from .simplicial import TruncSSet
 
@@ -302,7 +302,9 @@ def enumerate_actions(p: GroupoidPresentation, size_bound: int, carriers=None):
                 for wa, wb in leftover
             ):
                 continue
-            assert not validate_action(p, cand)
+            problems = validate_action(p, cand)
+            if problems:
+                raise InvariantError("; ".join(problems))
             out.append(cand)
     return out
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ClosureError, EmptyComponentError
+from .errors import ClosureError, EmptyComponentError, InvariantError
 from .fintopos import (
     Family,
     Presheaf,
@@ -384,10 +384,9 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
         (1, 1): {lab: degen1(lab, 1) for lab in s1},
     }
     # Degenerate 2-simplices built above must have been enumerated.
-    for m in degen[(1, 0)].values():
-        assert m in s2_faces, m
-    for m in degen[(1, 1)].values():
-        assert m in s2_faces, m
+    for m in itertools.chain(degen[(1, 0)].values(), degen[(1, 1)].values()):
+        if m not in s2_faces:
+            raise InvariantError(m)
 
     sset = TruncSSet(tuple(index), s1, s2, face, degen)
 
@@ -402,9 +401,11 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
         tau1={lab: op1(lab) for lab in s1}, tau2={w: op2(w) for w in s2}
     )
     for lab in s1:
-        assert tau_s.tau1[lab] in record, lab
+        if tau_s.tau1[lab] not in record:
+            raise InvariantError(lab)
     for w in s2:
-        assert tau_s.tau2[w] in s2_faces, w
+        if tau_s.tau2[w] not in s2_faces:
+            raise InvariantError(w)
 
     h0 = cover.total
     verts1 = [record[lab][0].vertex for lab in sset.s1]

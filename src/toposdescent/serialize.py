@@ -4,6 +4,10 @@ Labels are strings in JSON; internal tuple labels round-trip through a
 parenthesized encoding and integer labels through a ``#`` prefix, so user
 labels must avoid ``( ) , #`` and ``|`` and ``>`` (the separators used in
 restriction and pair keys).
+
+Writers of whole documents (``sset_to_json``, ``selfdual_family_to_json``)
+encode each distinct tuple label once per document, through a memo that
+lives only as long as that call; there is no process-wide cache.
 """
 
 from __future__ import annotations
@@ -19,9 +23,19 @@ class SerializationError(ValueError):
 _FORBIDDEN = set("(),#|>")
 
 
-def enc_label(x) -> str:
+def enc_label(x, memo=None) -> str:
+    """Encode a label.  ``memo``, when given, is a caller-owned dict from
+    tuples to their encodings: a tuple met again, at any depth, reuses its
+    string, while every atom outside a reused tuple is checked as usual.
+    Lookups go by tuple equality, so a tuple equal to one already encoded
+    (as ``(True,)`` equals ``(1,)``) shares its string."""
     if isinstance(x, tuple):
-        return "(" + ",".join(enc_label(e) for e in x) + ")"
+        if memo is None:
+            return "(" + ",".join(enc_label(e) for e in x) + ")"
+        s = memo.get(x)
+        if s is None:
+            s = memo[x] = "(" + ",".join(enc_label(e, memo) for e in x) + ")"
+        return s
     if isinstance(x, bool):
         raise SerializationError("boolean labels are not supported")
     if isinstance(x, int):
@@ -73,8 +87,8 @@ def _parse_label(s: str, pos: int):
     return atom, pos
 
 
-def _enc_map(m: dict) -> dict:
-    return {enc_label(k): enc_label(v) for k, v in m.items()}
+def _enc_map(m: dict, memo=None) -> dict:
+    return {enc_label(k, memo): enc_label(v, memo) for k, v in m.items()}
 
 
 def _dec_map(d: dict) -> dict:
@@ -98,11 +112,13 @@ def poset_from_json(d: dict) -> FinPoset:
         raise SerializationError(f"bad poset: {exc}") from exc
 
 
-def presheaf_to_json(x: Presheaf) -> dict:
+def presheaf_to_json(x: Presheaf, memo=None) -> dict:
     return {
-        "fibers": {enc_label(p): [enc_label(e) for e in x.fibers[p]] for p in x.base.points},
+        "fibers": {
+            enc_label(p, memo): [enc_label(e, memo) for e in x.fibers[p]] for p in x.base.points
+        },
         "restrictions": {
-            f"{enc_label(q)}>{enc_label(p)}": _enc_map(m)
+            f"{enc_label(q, memo)}>{enc_label(p, memo)}": _enc_map(m, memo)
             for (p, q), m in sorted(x.restrictions.items())
         },
     }
@@ -150,22 +166,25 @@ def family_from_json(d: dict) -> Family:
         raise SerializationError(f"bad family: {exc}") from exc
 
 
-def sset_to_json(s: TruncSSet, tau: StrictDuality = None) -> dict:
+def sset_to_json(s: TruncSSet, tau: StrictDuality = None, memo=None) -> dict:
+    if memo is None:
+        memo = {}
+
+    def faces(n, idxs):
+        return [_enc_map(s.face[(n, i)], memo) for i in idxs]
+
+    def degens(n, idxs):
+        return [_enc_map(s.degen[(n, i)], memo) for i in idxs]
+
     out = {
-        "S0": [enc_label(x) for x in s.s0],
-        "S1": [enc_label(x) for x in s.s1],
-        "S2": [enc_label(x) for x in s.s2],
-        "d": {
-            "1": [_enc_map(s.face[(1, 0)]), _enc_map(s.face[(1, 1)])],
-            "2": [_enc_map(s.face[(2, 0)]), _enc_map(s.face[(2, 1)]), _enc_map(s.face[(2, 2)])],
-        },
-        "s": {
-            "0": [_enc_map(s.degen[(0, 0)])],
-            "1": [_enc_map(s.degen[(1, 0)]), _enc_map(s.degen[(1, 1)])],
-        },
+        "S0": [enc_label(x, memo) for x in s.s0],
+        "S1": [enc_label(x, memo) for x in s.s1],
+        "S2": [enc_label(x, memo) for x in s.s2],
+        "d": {"1": faces(1, (0, 1)), "2": faces(2, (0, 1, 2))},
+        "s": {"0": degens(0, (0,)), "1": degens(1, (0, 1))},
     }
     if tau is not None:
-        out["tau"] = {"1": _enc_map(tau.tau1), "2": _enc_map(tau.tau2)}
+        out["tau"] = {"1": _enc_map(tau.tau1, memo), "2": _enc_map(tau.tau2, memo)}
     return out
 
 
@@ -196,8 +215,8 @@ def sset_from_json(d: dict):
         raise SerializationError(f"bad simplicial set: {exc}") from exc
 
 
-def presheaf_map_to_json(m: PresheafMap) -> dict:
-    return {enc_label(p): _enc_map(m.comp[p]) for p in m.dom.base.points}
+def presheaf_map_to_json(m: PresheafMap, memo=None) -> dict:
+    return {enc_label(p, memo): _enc_map(m.comp[p], memo) for p in m.dom.base.points}
 
 
 def sdescent_to_json(d) -> dict:
@@ -253,18 +272,19 @@ def udescent_from_json(d: dict, cover: Family):
 
 def selfdual_family_to_json(sf) -> dict:
     f = sf.base
+    memo = {}
+
+    def maps(items):
+        return {key: presheaf_map_to_json(m, memo) for key, m in items}
+
     return {
         "poset": poset_to_json(f.h0.base),
-        "sset": sset_to_json(f.sset, sf.tau_s),
-        "levels": {
-            "0": presheaf_to_json(f.h0),
-            "1": presheaf_to_json(f.h1),
-            "2": presheaf_to_json(f.h2),
-        },
-        "faces": {f"{n},{i}": presheaf_map_to_json(m) for (n, i), m in sorted(f.face.items())},
-        "degens": {f"{n},{i}": presheaf_map_to_json(m) for (n, i), m in sorted(f.degen.items())},
-        "zeta": {str(n): presheaf_map_to_json(f.zeta[n]) for n in (0, 1, 2)},
-        "tau": {"1": presheaf_map_to_json(sf.tau1), "2": presheaf_map_to_json(sf.tau2)},
+        "sset": sset_to_json(f.sset, sf.tau_s, memo),
+        "levels": {str(n): presheaf_to_json(x, memo) for n, x in enumerate((f.h0, f.h1, f.h2))},
+        "faces": maps((f"{n},{i}", m) for (n, i), m in sorted(f.face.items())),
+        "degens": maps((f"{n},{i}", m) for (n, i), m in sorted(f.degen.items())),
+        "zeta": maps((str(n), f.zeta[n]) for n in (0, 1, 2)),
+        "tau": maps((("1", sf.tau1), ("2", sf.tau2))),
     }
 
 
