@@ -39,11 +39,10 @@ from .fintopos import (
     family_components,
     product,
     quotient_by_pairs,
-    representable,
     sorted_labels,
 )
 from .groupoid import enumerate_actions, g_fundamental_presentation
-from .hypercover import ClassSpan, SpanClassSp, one_span_refinement
+from .hypercover import ClassSpan, SpanClassSp, one_span_refinement, representable_span
 from .simplicial import cech_nerve
 
 
@@ -65,7 +64,7 @@ class ActionSpan:
 
     i: object
     j: object
-    span: Span1
+    span: ClassSpan
     witness: dict
 
     def data_key(self):
@@ -219,27 +218,6 @@ def action_span_test(span: Span1, u: UDescentDatum, i, j):
     return dict(witness)
 
 
-def _representable_span(base, comps, i, j, p, x, y) -> Span1:
-    rep = representable(base, p)
-    left = PresheafMap(
-        rep,
-        comps[i],
-        {
-            q: ({"*": comps[i].restrict(q, p, x)} if rep.fibers[q] else {})
-            for q in base.points
-        },
-    )
-    right = PresheafMap(
-        rep,
-        comps[j],
-        {
-            q: ({"*": comps[j].restrict(q, p, y)} if rep.fibers[q] else {})
-            for q in base.points
-        },
-    )
-    return Span1(rep, left, right)
-
-
 def is_covering_projection(cover: Family, u: UDescentDatum) -> bool:
     """Whether every element of every pairwise product is the leg image of
     an action span with representable vertex (the canonical site of the
@@ -254,7 +232,7 @@ def is_covering_projection(cover: Family, u: UDescentDatum) -> bool:
         for p in base.points:
             for x in comps[i].fibers[p]:
                 for y in comps[j].fibers[p]:
-                    span = _representable_span(base, comps, i, j, p, x, y)
+                    span = representable_span(base, comps, i, j, p, x, y)
                     if action_span_test(span, u, i, j) is None:
                         return False
     return True
@@ -273,17 +251,9 @@ def sieve_check(spans) -> bool:
         comps_feet = {s.i: s.span.left.cod, s.j: s.span.right.cod}
         for p in base.points:
             for z in s.span.vertex.fibers[p]:
-                sub = _representable_span(
-                    base,
-                    comps_feet,
-                    s.i,
-                    s.j,
-                    p,
-                    s.span.left.apply(p, z),
-                    s.span.right.apply(p, z),
-                )
-                key = (s.i, s.j, sub.vertex.key(), sub.left.key(), sub.right.key())
-                if table.get(key) != s.witness:
+                x, y = s.span.left.apply(p, z), s.span.right.apply(p, z)
+                sub = representable_span(base, comps_feet, s.i, s.j, p, x, y)
+                if table.get(sub.data_key()) != s.witness:
                     return False
     for a in spans:
         for b in spans:
@@ -301,7 +271,8 @@ def all_action_spans(cover: Family, u: UDescentDatum):
     nerve, _ = cech_nerve(cover)
     spans = []
     for i in sorted(comps, key=label_key):
-        ident = Span1(comps[i], PresheafMap.identity(comps[i]), PresheafMap.identity(comps[i]))
+        idmap = PresheafMap.identity(comps[i])
+        ident = ClassSpan(i, i, comps[i], idmap, idmap)
         w = action_span_test(ident, u, i, i)
         if w is not None:
             spans.append(ActionSpan(i, i, ident, w))
@@ -309,7 +280,7 @@ def all_action_spans(cover: Family, u: UDescentDatum):
         for p in base.points:
             for x in comps[i].fibers[p]:
                 for y in comps[j].fibers[p]:
-                    span = _representable_span(base, comps, i, j, p, x, y)
+                    span = representable_span(base, comps, i, j, p, x, y)
                     w = action_span_test(span, u, i, j)
                     if w is not None:
                         spans.append(ActionSpan(i, j, span, w))
@@ -328,10 +299,7 @@ def main1_forward(cover: Family, u: UDescentDatum):
     if not is_covering_projection(cover, u):
         raise ValueError("the datum is not a covering projection")
     spans = all_action_spans(cover, u)
-    csp = SpanClassSp(
-        tuple(ClassSpan(s.i, s.j, s.span.vertex, s.span.left, s.span.right) for s in spans)
-    )
-    fam = one_span_refinement(cover, csp)
+    fam = one_span_refinement(cover, SpanClassSp(tuple(s.span for s in spans)))
     s = {}
     for l in fam.base.sset.s1:
         i, j = fam.base.sset.endpoints(l)
@@ -413,8 +381,8 @@ def main2_equivalence(cover: Family, f: SelfDualFamily, bound: int = 2) -> MainT
 
     def action_key(a):
         return (
-            tuple(sorted(a.carrier.items())),
-            tuple(sorted((g, tuple(sorted(m.items()))) for g, m in a.gen_action.items())),
+            frozenset(a.carrier.items()),
+            frozenset((g, frozenset(m.items())) for g, m in a.gen_action.items()),
         )
 
     act_index = {action_key(a): n for n, a in enumerate(actions)}

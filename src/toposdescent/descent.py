@@ -15,35 +15,20 @@ maps.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import IncompatibleFamilyError, InvariantError
-from .fintopos import Family, family_components
+from .fintopos import Family, connected_components, family_components, product
 from .family import SelfDualFamily, span_morphism_pairs
 from .groupoid import (
     GroupoidAction,
     GroupoidPresentation,
-    solve_bijection_slots,
+    _is_bijection,
+    solve_carrier_slots,
     validate_action,
 )
 from .hypercover import is_hypercover
 from .simplicial import TruncSSet, cech_nerve
-
-
-def bijections(dom, cod):
-    """All bijections between two finite label tuples, deterministically."""
-    if len(dom) != len(cod):
-        return []
-    return [dict(zip(dom, perm)) for perm in itertools.permutations(cod)]
-
-
-def _is_bijection(m, dom, cod):
-    return (
-        set(m) == set(dom)
-        and set(m.values()) == set(cod)
-        and len(set(m.values())) == len(m)
-    )
 
 
 def _compose(outer, inner):
@@ -113,47 +98,22 @@ def enumerate_s_descent_data(sset: TruncSSet, size_bound: int = None, carriers=N
     One slot per 1-simplex (degenerate ones pinned to the identity), with
     the triangles as composition constraints, solved by backtracking.
     """
-    if carriers is None:
-        choices = itertools.product(range(size_bound + 1), repeat=len(sset.s0))
-        carrier_list = [
-            {i: tuple(range(n)) for i, n in zip(sset.s0, sizes)} for sizes in choices
-        ]
-    else:
-        carrier_list = [dict(carriers)]
-    ident = {sset.deg(0, 0, i) for i in sset.s0}
+    ends = [sset.endpoints(l) for l in sset.s1]
     slot_of = {l: k for k, l in enumerate(sset.s1)}
-    constraints = sorted(
-        {
-            (
-                slot_of[sset.d(2, 2, w)],
-                slot_of[sset.d(2, 0, w)],
-                slot_of[sset.d(2, 1, w)],
-            )
-            for w in sset.s2
-        }
-    )
+    pinned = {slot_of[sset.deg(0, 0, i)] for i in sset.s0}
+    constraints = {
+        (slot_of[sset.d(2, 2, w)], slot_of[sset.d(2, 0, w)], slot_of[sset.d(2, 1, w)])
+        for w in sset.s2
+    }
     out = []
-    for carrier in carrier_list:
-        if any(
-            len(carrier[sset.d(1, 1, l)]) != len(carrier[sset.d(1, 0, l)])
-            for l in sset.s1
-        ):
-            continue
-        domains = []
-        for l in sset.s1:
-            i, j = sset.endpoints(l)
-            if l in ident:
-                domains.append([{x: x for x in carrier[i]}])
-            else:
-                domains.append(bijections(carrier[i], carrier[j]))
-        for combo in solve_bijection_slots(domains, constraints):
-            cand = SDescentDatum(
-                carrier=dict(carrier), s={l: dict(m) for l, m in zip(sset.s1, combo)}
-            )
-            problems = validate_s_descent(sset, cand)
-            if problems:
-                raise InvariantError("; ".join(problems))
-            out.append(cand)
+    for carrier, combo in solve_carrier_slots(
+        sset.s0, ends, ends, pinned, constraints, size_bound=size_bound, carriers=carriers
+    ):
+        cand = SDescentDatum(carrier=dict(carrier), s={l: dict(m) for l, m in zip(sset.s1, combo)})
+        problems = validate_s_descent(sset, cand)
+        if problems:
+            raise InvariantError("; ".join(problems))
+        out.append(cand)
     return out
 
 
@@ -408,11 +368,34 @@ def action_to_consistent(
     return d
 
 
-def _carrier_list(objects, size_bound, carriers):
-    if carriers is not None:
-        return [dict(carriers)]
-    choices = itertools.product(range(size_bound + 1), repeat=len(objects))
-    return [{i: tuple(range(n)) for i, n in zip(objects, sizes)} for sizes in choices]
+def _orbit_slots(pieces):
+    """One slot per restriction orbit of each keyed presheaf.
+
+    Returns the slots as ``(key, orbit)`` pairs and the slot index of every
+    ``(key, (point, element))``.
+    """
+    slots, slot_of = [], {}
+    for key, x in pieces:
+        for orbit in connected_components(x):
+            for el in orbit.elements():
+                slot_of[(key, el)] = len(slots)
+            slots.append((key, orbit))
+    return slots, slot_of
+
+
+def _orbit_tables(slots, combo, keys, points):
+    """The elementwise table of a solution: each element of an orbit takes
+    the bijection of its slot, and every key has a table at every point."""
+    sigma = {}
+    for (key, orbit), m in zip(slots, combo):
+        table = sigma.setdefault(key, {})
+        for p, e in orbit.elements():
+            table.setdefault(p, {})[e] = dict(m)
+    for key in keys:
+        table = sigma.setdefault(key, {})
+        for p in points:
+            table.setdefault(p, {})
+    return sigma
 
 
 def enumerate_h_descent_data(f: SelfDualFamily, size_bound: int = None, carriers=None):
@@ -424,18 +407,9 @@ def enumerate_h_descent_data(f: SelfDualFamily, size_bound: int = None, carriers
     cocycle law becomes composition constraints between orbit slots, solved
     by backtracking.
     """
-    from .fintopos import connected_components
-
     fam = f.base
     sset = fam.sset
-    slots, slot_of = [], {}
-    for l in sset.s1:
-        comp = fam.component(1, l)
-        for orbit in connected_components(comp):
-            idx = len(slots)
-            slots.append((l, orbit))
-            for el in orbit.elements():
-                slot_of[(l, el)] = idx
+    slots, slot_of = _orbit_slots((l, fam.component(1, l)) for l in sset.s1)
     pinned = set()
     for i in sset.s0:
         l = sset.deg(0, 0, i)
@@ -460,54 +434,30 @@ def enumerate_h_descent_data(f: SelfDualFamily, size_bound: int = None, carriers
                         slot_of[(t, (p, d1.apply(p, x)))],
                     )
                 )
+    sized = [sset.endpoints(l) for l in sset.s1]
+    ends = [sset.endpoints(l) for l, _ in slots]
     out = []
-    for carrier in _carrier_list(sset.s0, size_bound, carriers):
-        if any(
-            len(carrier[sset.d(1, 1, l)]) != len(carrier[sset.d(1, 0, l)])
-            for l in sset.s1
-        ):
-            continue
-        domains = []
-        for idx, (l, orbit) in enumerate(slots):
-            i, j = sset.endpoints(l)
-            if idx in pinned:
-                domains.append([{x: x for x in carrier[i]}])
-            else:
-                domains.append(bijections(carrier[i], carrier[j]))
-        for combo in solve_bijection_slots(domains, sorted(constraints)):
-            sigma = {}
-            for (l, orbit), m in zip(slots, combo):
-                table = sigma.setdefault(l, {})
-                for p, e in orbit.elements():
-                    table.setdefault(p, {})[e] = dict(m)
-            for l in sset.s1:
-                table = sigma.setdefault(l, {})
-                for p in fam.h0.base.points:
-                    table.setdefault(p, {})
-            cand = HDescentDatum(family=f, carrier=dict(carrier), sigma_hat=sigma)
-            problems = validate_h_descent(cand)
-            if problems:
-                raise InvariantError("; ".join(problems))
-            out.append(cand)
+    for carrier, combo in solve_carrier_slots(
+        sset.s0, sized, ends, pinned, constraints, size_bound=size_bound, carriers=carriers
+    ):
+        sigma = _orbit_tables(slots, combo, sset.s1, fam.h0.base.points)
+        cand = HDescentDatum(family=f, carrier=dict(carrier), sigma_hat=sigma)
+        problems = validate_h_descent(cand)
+        if problems:
+            raise InvariantError("; ".join(problems))
+        out.append(cand)
     return out
 
 
 def enumerate_u_descent_data(cover: Family, size_bound: int = None, carriers=None):
     """All valid cover descent data with carriers up to the bound (or on
     fixed carriers); same orbit-and-constraint search as the family case."""
-    from .fintopos import connected_components, product
-
     comps = family_components(cover)
     nerve, _ = cech_nerve(cover)
     base = cover.total.base
-    slots, slot_of = [], {}
-    for i, j in nerve.s1:
-        prod, _, _ = product(comps[i], comps[j])
-        for orbit in connected_components(prod):
-            idx = len(slots)
-            slots.append(((i, j), orbit))
-            for el in orbit.elements():
-                slot_of[((i, j), el)] = idx
+    slots, slot_of = _orbit_slots(
+        ((i, j), product(comps[i], comps[j])[0]) for i, j in nerve.s1
+    )
     pinned = set()
     for i in nerve.s0:
         for p in base.points:
@@ -526,28 +476,15 @@ def enumerate_u_descent_data(cover: Family, size_bound: int = None, carriers=Non
                                 slot_of[((i, k), (p, (x, z)))],
                             )
                         )
+    ends = [pair for pair, _ in slots]
     out = []
-    for carrier in _carrier_list(nerve.s0, size_bound, carriers):
-        if any(len(carrier[i]) != len(carrier[j]) for (i, j) in nerve.s1):
-            continue
-        domains = []
-        for idx, ((i, j), orbit) in enumerate(slots):
-            if idx in pinned:
-                domains.append([{x: x for x in carrier[i]}])
-            else:
-                domains.append(bijections(carrier[i], carrier[j]))
-        for combo in solve_bijection_slots(domains, sorted(constraints)):
-            sigma = {}
-            for ((i, j), orbit), m in zip(slots, combo):
-                table = sigma.setdefault((i, j), {})
-                for p, e in orbit.elements():
-                    table.setdefault(p, {})[e] = dict(m)
-            for pair in sigma:
-                for p in base.points:
-                    sigma[pair].setdefault(p, {})
-            cand = UDescentDatum(cover=cover, carrier=dict(carrier), sigma=sigma)
-            problems = validate_u_descent(cand)
-            if problems:
-                raise InvariantError("; ".join(problems))
-            out.append(cand)
+    for carrier, combo in solve_carrier_slots(
+        nerve.s0, nerve.s1, ends, pinned, constraints, size_bound=size_bound, carriers=carriers
+    ):
+        sigma = _orbit_tables(slots, combo, nerve.s1, base.points)
+        cand = UDescentDatum(cover=cover, carrier=dict(carrier), sigma=sigma)
+        problems = validate_u_descent(cand)
+        if problems:
+            raise InvariantError("; ".join(problems))
+        out.append(cand)
     return out

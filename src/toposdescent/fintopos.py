@@ -195,11 +195,12 @@ class Presheaf:
     def key(self):
         """Canonical hashable form, used to label spans deterministically.
 
-        Each restriction's items follow its source fiber, which is sorted."""
+        Restrictions are stored in ``strict_pairs`` order and each one's
+        items follow its source fiber, which is sorted."""
         fib = tuple((p, self.fibers[p]) for p in self.base.points)
         res = tuple(
             (pq, tuple((e, m[e]) for e in self.fibers[pq[1]]))
-            for pq, m in sorted(self.restrictions.items())
+            for pq, m in self.restrictions.items()
         )
         return (fib, res)
 
@@ -382,13 +383,14 @@ def is_epi_family(maps) -> bool:
     return True
 
 
-def connected_components(x: Presheaf):
-    """Sub-presheaves forming the connected components of ``x``.
+def union_find(items):
+    """Disjoint sets over hashable labels; returns ``(find, union)``.
 
-    Elements are connected when linked by restriction maps; each component
-    is closed under restrictions, and ``x`` is their coproduct.
+    The least label (in ``label_key`` order) represents its class, so
+    representatives do not depend on the order of the unions; ``union``
+    returns whether two classes merged.
     """
-    parent = {el: el for el in x.elements()}
+    parent = {el: el for el in items}
 
     def find(a):
         while parent[a] != a:
@@ -398,9 +400,21 @@ def connected_components(x: Presheaf):
 
     def union(a, b):
         ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb, key=label_key)] = min(ra, rb, key=label_key)
+        if ra == rb:
+            return False
+        parent[max(ra, rb, key=label_key)] = min(ra, rb, key=label_key)
+        return True
 
+    return find, union
+
+
+def connected_components(x: Presheaf):
+    """Sub-presheaves forming the connected components of ``x``.
+
+    Elements are connected when linked by restriction maps; each component
+    is closed under restrictions, and ``x`` is their coproduct.
+    """
+    find, union = union_find(x.elements())
     for p, q in x.base.strict_pairs():
         for e in x.fibers[q]:
             union((q, e), (p, x.restrict(p, q, e)))
@@ -432,21 +446,7 @@ def quotient_by_pairs(x: Presheaf, pairs):
     every ``p <= q``.  Class representatives are the least labels, so the
     result is canonical.
     """
-    parent = {el: el for el in x.elements()}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[max(ra, rb, key=label_key)] = min(ra, rb, key=label_key)
-        return True
-
+    find, union = union_find(x.elements())
     for p, a, b in pairs:
         if a not in x.fiber_set(p) or b not in x.fiber_set(p):
             raise ValueError(f"pair references unknown elements at {p!r}")

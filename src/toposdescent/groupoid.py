@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ConditionGFailure, InvariantError
-from .fintopos import label_key
+from .fintopos import label_key, union_find
 from .simplicial import TruncSSet
 
 
@@ -185,8 +185,7 @@ def validate_action(p: GroupoidPresentation, a: GroupoidAction):
         if m is None:
             out.append(f"no action for generator {g!r}")
             continue
-        dom, cod = set(a.carrier[p.src[g]]), set(a.carrier[p.tgt[g]])
-        if set(m) != dom or set(m.values()) != cod or len(set(m.values())) != len(m):
+        if not _is_bijection(m, a.carrier[p.src[g]], a.carrier[p.tgt[g]]):
             out.append(f"action of {g!r} is not a bijection onto the target carrier")
     if out:
         return out
@@ -199,6 +198,14 @@ def validate_action(p: GroupoidPresentation, a: GroupoidAction):
                 out.append(f"relation {n} fails on {x!r}")
                 break
     return out
+
+
+def _is_bijection(m, dom, cod):
+    return (
+        set(m) == set(dom)
+        and set(m.values()) == set(cod)
+        and len(set(m.values())) == len(m)
+    )
 
 
 def act(a: GroupoidAction, w: Word, x):
@@ -242,6 +249,39 @@ def solve_bijection_slots(domains, comp_constraints, eq_pairs=()):
     return out
 
 
+def solve_carrier_slots(
+    objects, sized, ends, pinned, comp_constraints, eq_pairs=(), size_bound=None, carriers=None
+):
+    """Bijection-slot search on every admissible choice of carriers.
+
+    Carriers are the canonical ``0..n-1`` of each size up to ``size_bound``
+    (the last object varying fastest), or the fixed ``carriers``; a choice
+    is skipped unless each pair of objects in ``sized`` has carriers of
+    equal size.  Slot ``k`` ranges over the bijections from the carrier at
+    ``ends[k][0]`` to the one at ``ends[k][1]``, or is the identity if
+    pinned.  Returns the ``(carrier, combo)`` solutions, carrier by carrier.
+    """
+    if carriers is None:
+        sizes = itertools.product(range(size_bound + 1), repeat=len(objects))
+        carrier_list = [{i: tuple(range(n)) for i, n in zip(objects, ns)} for ns in sizes]
+    else:
+        carrier_list = [dict(carriers)]
+    comp_constraints, eq_pairs = sorted(comp_constraints), sorted(eq_pairs)
+    out = []
+    for carrier in carrier_list:
+        if any(len(carrier[i]) != len(carrier[j]) for i, j in sized):
+            continue
+        domains = [
+            [{x: x for x in carrier[i]}]
+            if k in pinned
+            else [dict(zip(carrier[i], perm)) for perm in itertools.permutations(carrier[j])]
+            for k, (i, j) in enumerate(ends)
+        ]
+        for combo in solve_bijection_slots(domains, comp_constraints, eq_pairs):
+            out.append((carrier, combo))
+    return out
+
+
 def enumerate_actions(p: GroupoidPresentation, size_bound: int, carriers=None):
     """All actions with carriers of size at most the bound (canonical
     carriers 0..n-1), or on the given fixed carriers.
@@ -251,7 +291,6 @@ def enumerate_actions(p: GroupoidPresentation, size_bound: int, carriers=None):
     a backtracking search, and any remaining relations are checked on the
     solutions.  Deduplication is by equality of raw data, not isomorphism.
     """
-    objs = p.objects
     slot_of = {g: k for k, g in enumerate(p.generators)}
     pinned = {slot_of[g] for g in p.identities.values()}
     comp_constraints, eq_pairs, leftover = set(), set(), []
@@ -274,38 +313,21 @@ def enumerate_actions(p: GroupoidPresentation, size_bound: int, carriers=None):
                 continue
         leftover.append((wa, wb))
 
-    if carriers is None:
-        size_choices = itertools.product(range(size_bound + 1), repeat=len(objs))
-        carrier_choices = [
-            {i: tuple(range(n)) for i, n in zip(objs, sizes)} for sizes in size_choices
-        ]
-    else:
-        carrier_choices = [dict(carriers)]
-
+    ends = [(p.src[g], p.tgt[g]) for g in p.generators]
     out = []
-    for carrier in carrier_choices:
-        if any(len(carrier[p.src[g]]) != len(carrier[p.tgt[g]]) for g in p.generators):
+    for carrier, combo in solve_carrier_slots(
+        p.objects, ends, ends, pinned, comp_constraints, eq_pairs, size_bound, carriers
+    ):
+        cand = GroupoidAction(carrier=dict(carrier), gen_action=dict(zip(p.generators, combo)))
+        if leftover and any(
+            any(act(cand, wa, x) != act(cand, wb, x) for x in carrier[wa.start])
+            for wa, wb in leftover
+        ):
             continue
-        domains = []
-        for k, g in enumerate(p.generators):
-            dom, cod = carrier[p.src[g]], carrier[p.tgt[g]]
-            if k in pinned:
-                domains.append([{x: x for x in dom}])
-            else:
-                domains.append([dict(zip(dom, perm)) for perm in itertools.permutations(cod)])
-        for combo in solve_bijection_slots(domains, sorted(comp_constraints), sorted(eq_pairs)):
-            cand = GroupoidAction(
-                carrier=dict(carrier), gen_action=dict(zip(p.generators, combo))
-            )
-            if leftover and any(
-                any(act(cand, wa, x) != act(cand, wb, x) for x in carrier[wa.start])
-                for wa, wb in leftover
-            ):
-                continue
-            problems = validate_action(p, cand)
-            if problems:
-                raise InvariantError("; ".join(problems))
-            out.append(cand)
+        problems = validate_action(p, cand)
+        if problems:
+            raise InvariantError("; ".join(problems))
+        out.append(cand)
     return out
 
 
@@ -336,19 +358,7 @@ def generator_congruence(p: GroupoidPresentation):
     cached = getattr(p, "_congruence_cache", None)
     if cached is not None:
         return cached
-    parent = {g: g for g in p.generators}
-
-    def find(g):
-        while parent[g] != g:
-            parent[g] = parent[parent[g]]
-            g = parent[g]
-        return g
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb, key=label_key)] = min(ra, rb, key=label_key)
-
+    find, union = union_find(p.generators)
     trivial_seed = set(p.identities.values())
     for wa, wb in p.relations:
         sides = (wa.letters, wb.letters)

@@ -31,7 +31,7 @@ from .fintopos import (
     representable,
     sorted_labels,
 )
-from .family import SelfDualFamily, SimplicialFamily, Span1
+from .family import SelfDualFamily, SimplicialFamily
 from .simplicial import StrictDuality, TruncSSet
 
 
@@ -49,8 +49,9 @@ class CoskData:
     can2: dict
 
 
-def _triangle_limit(base, sl: Span1, st: Span1, sr: Span1) -> Presheaf:
-    """Limit of the boundary of a two-storey span: compatible leg triples."""
+def _triangle_limit(base, sl, st, sr) -> Presheaf:
+    """Limit of the boundary of a two-storey span: compatible leg triples of
+    the three spans (anything with ``vertex``, ``left`` and ``right``)."""
     fibers = {}
     for p in base.points:
         out = []
@@ -481,6 +482,19 @@ def one_span_refinement(cover: Family, csp: SpanClassSp) -> SelfDualFamily:
     return _build_refinement(cover, list(csp.members), csp.vertices())
 
 
+def representable_span(base, comps, i, j, p, x, y) -> ClassSpan:
+    """The span with vertex the representable of ``p`` whose legs pick the
+    elements ``x`` of ``comps[i]`` and ``y`` of ``comps[j]`` at ``p`` (the
+    Yoneda correspondence)."""
+    rep = representable(base, p)
+
+    def leg(k, z):
+        comp = {q: ({"*": comps[k].restrict(q, p, z)} if rep.fibers[q] else {}) for q in base.points}
+        return PresheafMap(rep, comps[k], comp)
+
+    return ClassSpan(i, j, rep, leg(i, x), leg(j, y))
+
+
 def representable_spans(cover: Family):
     """All spans with representable vertex over pairs of components; by the
     Yoneda correspondence these are the elements of the pairwise products."""
@@ -489,11 +503,10 @@ def representable_spans(cover: Family):
     index = sorted(comps, key=label_key)
     spans = []
     for p in base.points:
-        rep = representable(base, p)
         for i, j in itertools.product(index, repeat=2):
-            for u in hom_enumerate(rep, comps[i]):
-                for v in hom_enumerate(rep, comps[j]):
-                    spans.append(ClassSpan(i, j, rep, u, v))
+            for x in comps[i].fibers[p]:
+                for y in comps[j].fibers[p]:
+                    spans.append(representable_span(base, comps, i, j, p, x, y))
     return spans
 
 
@@ -557,12 +570,7 @@ def check_epi_criteria(cover: Family, cls) -> bool:
             if hit != set(prod.fibers[p]):
                 return False
     for sl, st, sr in _composable_span_triples(by_pair, index):
-        lim = _triangle_limit(
-            base,
-            Span1(sl.vertex, sl.left, sl.right),
-            Span1(st.vertex, st.left, st.right),
-            Span1(sr.vertex, sr.left, sr.right),
-        )
+        lim = _triangle_limit(base, sl, st, sr)
         if lim.is_initial():
             continue
         for p in base.points:

@@ -13,9 +13,9 @@ triangles lift as soon as pairs do).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
+from .covering import _structure_maps_commute
 from .errors import UndeterminedError
 from .family import (
     SelfDualFamily,
@@ -257,30 +257,16 @@ def classifying_category(p: GroupoidPresentation, bound: int) -> CategoryData:
     the equivariant families of maps; identities and composition are
     verified to stay inside the homs."""
     actions = enumerate_actions(p, bound)
+
+    def ends(g):
+        return (p.src[g], p.tgt[g])
+
     homs = {}
     for n1, a1 in enumerate(actions):
         for n2, a2 in enumerate(actions):
-            out = []
-            per_obj = []
-            for i in p.objects:
-                if a1.carrier[i]:
-                    per_obj.append(
-                        [
-                            dict(zip(a1.carrier[i], vals))
-                            for vals in itertools.product(a2.carrier[i], repeat=len(a1.carrier[i]))
-                        ]
-                    )
-                else:
-                    per_obj.append([{}])
-            for combo in itertools.product(*per_obj):
-                m = dict(zip(p.objects, combo))
-                if all(
-                    m[p.tgt[g]][a1.gen_action[g][x]] == a2.gen_action[g][m[p.src[g]][x]]
-                    for g in p.generators
-                    for x in a1.carrier[p.src[g]]
-                ):
-                    out.append(m)
-            homs[(n1, n2)] = out
+            homs[(n1, n2)] = _structure_maps_commute(
+                p.objects, p.generators, ends, a1.carrier, a2.carrier, a1.gen_action, a2.gen_action
+            )
     identities_ok = all(
         any(all(m[i] == {x: x for x in actions[n].carrier[i]} for i in p.objects) for m in homs[(n, n)])
         for n in range(len(actions))
@@ -365,6 +351,20 @@ def _span_data(fam: SelfDualFamily, l):
     return (i, j, frozen)
 
 
+def _triangle_data(fam: SelfDualFamily, w):
+    """Per point, the stripped elements of the component of ``w`` with the
+    stripped images under its three faces."""
+    base = fam.base
+    comp = base.component(2, w)
+    faces = [base.component_face(2, k, w) for k in (2, 1, 0)]
+
+    def rows(p):
+        out = ((_strip(e), tuple(_strip(d.apply(p, e)) for d in faces)) for e in comp.fibers[p])
+        return tuple(sorted(out, key=lambda kv: label_key(kv[0])))
+
+    return tuple((p, rows(p)) for p in comp.base.points)
+
+
 def inclusion_morphism(src: SelfDualFamily, tgt: SelfDualFamily) -> SimplicialFamilyMorphism:
     """Match a span refinement into a larger one by literal span data.
 
@@ -384,31 +384,11 @@ def inclusion_morphism(src: SelfDualFamily, tgt: SelfDualFamily) -> SimplicialFa
         a1[l] = tgt_spans[key]
     tgt_tri = {}
     for w in tb.sset.s2:
-        comp = tb.component(2, w)
-        d2, d1, d0 = (tb.component_face(2, k, w) for k in (2, 1, 0))
-        key = (
-            tb.sset.d(2, 2, w),
-            tb.sset.d(2, 1, w),
-            tb.sset.d(2, 0, w),
-            tuple(
-                (p, tuple(sorted(((_strip(e), (_strip(d2.apply(p, e)), _strip(d1.apply(p, e)), _strip(d0.apply(p, e)))) for e in comp.fibers[p]), key=lambda kv: label_key(kv[0]))))
-                for p in comp.base.points
-            ),
-        )
+        key = tuple(tb.sset.d(2, k, w) for k in (2, 1, 0)) + (_triangle_data(tgt, w),)
         tgt_tri[key] = w
     a2 = {}
     for w in sb.sset.s2:
-        comp = sb.component(2, w)
-        d2, d1, d0 = (sb.component_face(2, k, w) for k in (2, 1, 0))
-        key = (
-            a1[sb.sset.d(2, 2, w)],
-            a1[sb.sset.d(2, 1, w)],
-            a1[sb.sset.d(2, 0, w)],
-            tuple(
-                (p, tuple(sorted(((_strip(e), (_strip(d2.apply(p, e)), _strip(d1.apply(p, e)), _strip(d0.apply(p, e)))) for e in comp.fibers[p]), key=lambda kv: label_key(kv[0]))))
-                for p in comp.base.points
-            ),
-        )
+        key = tuple(a1[sb.sset.d(2, k, w)] for k in (2, 1, 0)) + (_triangle_data(src, w),)
         if key not in tgt_tri:
             raise ValueError(f"source 2-simplex {w!r} has no literal match in the target")
         a2[w] = tgt_tri[key]

@@ -119,7 +119,7 @@ def presheaf_to_json(x: Presheaf, memo=None) -> dict:
         },
         "restrictions": {
             f"{enc_label(q, memo)}>{enc_label(p, memo)}": _enc_map(m, memo)
-            for (p, q), m in sorted(x.restrictions.items())
+            for (p, q), m in x.restrictions.items()
         },
     }
 
@@ -221,8 +221,8 @@ def presheaf_map_to_json(m: PresheafMap, memo=None) -> dict:
 
 def sdescent_to_json(d) -> dict:
     return {
-        "carriers": {enc_label(i): [enc_label(r) for r in rs] for i, rs in sorted(d.carrier.items())},
-        "s": {enc_label(l): _enc_map(m) for l, m in sorted(d.s.items())},
+        "carriers": {enc_label(i): [enc_label(r) for r in rs] for i, rs in d.carrier.items()},
+        "s": {enc_label(l): _enc_map(m) for l, m in d.s.items()},
     }
 
 
@@ -240,13 +240,13 @@ def sdescent_from_json(d: dict):
 
 def udescent_to_json(u) -> dict:
     return {
-        "carriers": {enc_label(i): [enc_label(r) for r in rs] for i, rs in sorted(u.carrier.items())},
+        "carriers": {enc_label(i): [enc_label(r) for r in rs] for i, rs in u.carrier.items()},
         "sigma": {
             enc_label(pair): {
                 enc_label(p): {enc_label(xy): _enc_map(m) for xy, m in table.items()}
                 for p, table in tables.items()
             }
-            for pair, tables in sorted(u.sigma.items())
+            for pair, tables in u.sigma.items()
         },
     }
 
@@ -329,8 +329,8 @@ def selfdual_family_from_json(d: dict):
 
 def action_to_json(a) -> dict:
     return {
-        "carriers": {enc_label(i): [enc_label(r) for r in rs] for i, rs in sorted(a.carrier.items())},
-        "actions": {enc_label(g): _enc_map(m) for g, m in sorted(a.gen_action.items())},
+        "carriers": {enc_label(i): [enc_label(r) for r in rs] for i, rs in a.carrier.items()},
+        "actions": {enc_label(g): _enc_map(m) for g, m in a.gen_action.items()},
     }
 
 
@@ -349,13 +349,13 @@ def action_from_json(d: dict):
 def hdescent_to_json(d) -> dict:
     """Family descent datum: values keyed by 1-simplex, point, element."""
     return {
-        "carriers": {enc_label(i): [enc_label(r) for r in rs] for i, rs in sorted(d.carrier.items())},
+        "carriers": {enc_label(i): [enc_label(r) for r in rs] for i, rs in d.carrier.items()},
         "sigma_hat": {
             enc_label(l): {
                 enc_label(p): {enc_label(e): _enc_map(m) for e, m in table.items()}
                 for p, table in tables.items()
             }
-            for l, tables in sorted(d.sigma_hat.items())
+            for l, tables in d.sigma_hat.items()
         },
     }
 

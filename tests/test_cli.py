@@ -149,6 +149,20 @@ def test_descend_covproj_main1_main2(files, capsys):
     assert json.loads(capsys.readouterr().out)["ok"]
 
 
+def test_descend_all_modes_on_mixed_labels(tmp_path, capsys):
+    pt = td.FinPoset.point()
+    cover = td.family_from_parts(
+        pt, {1: td.constant_presheaf(("a",), pt), "x": td.constant_presheaf(("b", "c"), pt)}
+    )
+    cover_path, datum_path = tmp_path / "cover.json", tmp_path / "datum.json"
+    cover_path.write_text(json.dumps(family_to_json(cover)))
+    datum_path.write_text(json.dumps(udescent_to_json(td.enumerate_u_descent_data(cover, 2)[-1])))
+    assert json.loads(cover_path.read_text())["index"] == ["#1", "x"]
+    for mode in ("--check", "--glue", "--covproj", "--main1", "--main2"):
+        assert main(["descend", str(cover_path), str(datum_path), mode]) == 0, mode
+        json.loads(capsys.readouterr().out)
+
+
 def test_progroupoid_chain(tmp_path, capsys):
     pt = td.FinPoset.point()
     cov_a = td.family_from_parts(pt, {"1": td.constant_presheaf(("a",), pt)})

@@ -116,6 +116,15 @@ def test_epi_family_monotone(pt):
         assert td.is_epi_family(maps)
 
 
+def test_presheaf_key_on_mixed_label_poset():
+    from toposdescent.serialize import presheaf_to_json
+
+    poset = td.FinPoset.from_pairs([1, "x", "y"], [(1, "y"), ("x", "y")])
+    x = td.terminal_presheaf(poset)
+    assert [pq for pq, _ in x.key()[1]] == [(1, "y"), ("x", "y")]
+    assert sorted(presheaf_to_json(x)["restrictions"]) == ["y>#1", "y>x"]
+
+
 def test_connected_components_examples(pt):
     two = td.constant_presheaf(("a", "b"), pt)
     comps = td.connected_components(two)

@@ -1,6 +1,7 @@
 """Invariants that must hold however the package is run: no ``assert``
-statements in the library (``python -O`` strips them), and CLI reports
-that are byte-identical across hash seeds and optimisation levels."""
+statements in the library (``python -O`` strips them), CLI reports that
+are byte-identical across hash seeds and optimisation levels, and pinned
+enumeration orders and demo outputs."""
 
 import ast
 import hashlib
@@ -13,15 +14,38 @@ from pathlib import Path
 import pytest
 
 import toposdescent as td
-from toposdescent.serialize import family_to_json
+from toposdescent.serialize import (
+    action_to_json,
+    family_to_json,
+    hdescent_to_json,
+    sdescent_to_json,
+    udescent_to_json,
+)
+from conftest import generated_covers
 
 PACKAGE = Path(td.__file__).resolve().parent
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 # SHA-256 of the CLI reports for the running fixture cover.  Label keys and
 # encodings are memoised per sort and per document; these digests pin that
 # the memos leave every report byte unchanged.
 REFINE_SHA256 = "8a9cc4ac1d4aa6442ab7121368e5fc2e41f599bd014b31babb3eb8a9054c35f6"
 NERVE_SHA256 = "565bc55b6be7f465ec6f4fdf151af7dfc09d3a1bbd26ae2a8630b844105bd2ab"
+
+# SHA-256 of the cover, family, index and action enumerations at bound 2
+# over every generated cover, in enumeration order: data are numbered by
+# their position, so a change of order changes reports and hom tables.
+ENUMERATION_SHA256 = "1adaea6d563ab7388f58bfc4992f1833b8e790bcdd6562d0bc31358bfb0a8d58"
+
+# SHA-256 of each demo's stdout under PYTHONHASHSEED=0.
+DEMO_SHA256 = {
+    "01_presheaves_and_nerves.py": "f7ce2ebf0863f975e9456bf666c61d951e51efed52635cea78a54c2b7216661b",
+    "02_span_refinements.py": "67a304bd559c3264641d8039470be8197ca988b0392996372ad2c0b4238421c8",
+    "03_fundamental_groupoids.py": "b18f1bab2f999362359f4e63bbe60d4477101c9ee578224d13d00e1247afa59d",
+    "04_descent_data.py": "aae1ce559f97ec0fc535fde99e59faedebbed242d908a04c2aa3d15654f419e2",
+    "05_gluing_covering_projections.py": "c8e939130f92d33f85af3371a84e4c0de1fd01a056c4ad6457d0989b8bb23434",
+    "06_progroupoid.py": "0fa2dc262eb61907121b1152ef439acce2346a7f4486f9fa969016714d133555",
+}
 
 
 def test_library_has_no_assert_statements():
@@ -32,14 +56,18 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def _run_cli(argv, hashseed, optimize=False):
+def _run(args, hashseed, optimize=False):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = str(hashseed)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    cmd = [sys.executable] + (["-O"] if optimize else []) + ["-m", "toposdescent.cli"] + argv
+    cmd = [sys.executable] + (["-O"] if optimize else []) + args
     proc = subprocess.run(cmd, env=env, capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
+
+
+def _run_cli(argv, hashseed, optimize=False):
+    return _run(["-m", "toposdescent.cli"] + argv, hashseed, optimize)
 
 
 @pytest.mark.parametrize(
@@ -59,3 +87,28 @@ def test_cli_reports_identical_across_processes(tmp_path, fixture_cover, command
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
     assert hashlib.sha256(runs[0]).hexdigest() == expected
+
+
+def test_enumeration_order_pinned():
+    doc = []
+    for name, cover in generated_covers():
+        ref = td.connected_refinement(cover)
+        nerve, _ = td.cech_nerve(cover)
+        pres = td.g_fundamental_presentation(ref)
+        doc.append(
+            {
+                "cover": name,
+                "u": [udescent_to_json(d) for d in td.enumerate_u_descent_data(cover, 2)],
+                "h": [hdescent_to_json(d) for d in td.enumerate_h_descent_data(ref, 2)],
+                "s": [sdescent_to_json(d) for d in td.enumerate_s_descent_data(nerve, 2)],
+                "actions": [action_to_json(a) for a in td.enumerate_actions(pres, 2)],
+            }
+        )
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_SHA256
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_SHA256))
+def test_demo_output_pinned(demo):
+    out = _run([str(DEMOS / demo)], hashseed=0)
+    assert hashlib.sha256(out).hexdigest() == DEMO_SHA256[demo]
