@@ -330,7 +330,7 @@ def cmd_progroupoid(args):
                 "failures": rep.failures,
                 "undetermined": rep.undetermined,
             }
-            for (a, b), rep in sorted(strictness.items())
+            for (a, b), rep in strictness.items()
         }
     }
     _emit(report, args.out)

@@ -68,13 +68,7 @@ class ActionSpan:
     witness: dict
 
     def data_key(self):
-        return (
-            self.i,
-            self.j,
-            self.span.vertex.key(),
-            self.span.left.key(),
-            self.span.right.key(),
-        )
+        return self.span.data_key()
 
 
 def glue(cover: Family, u: UDescentDatum) -> LocallyConstant:

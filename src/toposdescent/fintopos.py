@@ -374,13 +374,23 @@ def is_epi_family(maps) -> bool:
     for m in maps:
         if m.cod != cod:
             raise BaseMismatchError("epi test needs a common codomain")
-    for p in cod.base.points:
-        hit = set()
-        for m in maps:
-            hit.update(m.comp[p].values())
-        if hit != set(cod.fibers[p]):
-            return False
-    return True
+    return not _missed(cod, _hit_sets((m.comp for m in maps), cod.base.points))
+
+
+def _hit_sets(comps, points):
+    """Per point, the set of elements hit by a family of maps, each given
+    by its components ``{point: {element: image}}``."""
+    hit = {p: set() for p in points}
+    for comp in comps:
+        for p in points:
+            hit[p].update(comp[p].values())
+    return hit
+
+
+def _missed(cod: Presheaf, hit) -> list:
+    """The ``(point, element)`` pairs of ``cod`` outside the hit sets, in
+    fiber order."""
+    return [(p, e) for p in cod.base.points for e in cod.fibers[p] if e not in hit[p]]
 
 
 def union_find(items):

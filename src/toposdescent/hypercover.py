@@ -19,6 +19,8 @@ from .fintopos import (
     Family,
     Presheaf,
     PresheafMap,
+    _hit_sets,
+    _missed,
     constant_presheaf,
     coproduct,
     cover_is_epi,
@@ -31,22 +33,20 @@ from .fintopos import (
     representable,
     sorted_labels,
 )
-from .family import SelfDualFamily, SimplicialFamily
+from .family import SelfDualFamily, SimplicialFamily, span_of_1simplex
 from .simplicial import StrictDuality, TruncSSet
 
 
 @dataclass
 class CoskData:
     """Pairwise products and boundary-triangle limits of a family, with the
-    canonical component maps into them."""
+    canonical maps ``can1`` from the 1-simplex components into the products."""
 
     nerve_pairs: tuple
     pair_limit: dict
-    pair_proj: dict
     t2: tuple
     triple_limit: dict
     can1: dict
-    can2: dict
 
 
 def _triangle_limit(base, sl, st, sr) -> Presheaf:
@@ -79,19 +79,24 @@ def _triangle_limit(base, sl, st, sr) -> Presheaf:
     return Presheaf(base, fibers, rest)
 
 
-def _composable_boundaries(sset: TruncSSet):
-    """Triples (l, t, r) of 1-simplices forming a triangle boundary."""
-    out = []
-    for l in sset.s1:
-        i, j = sset.endpoints(l)
-        for t in sset.s1:
-            if sset.d(1, 1, t) != i:
-                continue
-            k = sset.d(1, 0, t)
-            for r in sset.s1:
-                if sset.d(1, 1, r) == j and sset.d(1, 0, r) == k:
-                    out.append((l, t, r))
+def _by_pair(items, ends):
+    """The items grouped by their endpoint pair ``ends(item)``, in order."""
+    out = {}
+    for x in items:
+        out.setdefault(ends(x), []).append(x)
     return out
+
+
+def _composable_triples(by_pair, index):
+    """Triangle boundaries ``(l, t, r)``: ``l`` over ``(i, j)``, ``t`` over
+    ``(i, k)`` and ``r`` over ``(j, k)``, for ``i, j, k`` in ``index`` and
+    1-simplices or spans grouped by endpoint pair."""
+    for i, j in itertools.product(index, repeat=2):
+        for k in index:
+            for l in by_pair.get((i, j), ()):
+                for t in by_pair.get((i, k), ()):
+                    for r in by_pair.get((j, k), ()):
+                        yield l, t, r
 
 
 def cosk_data(f: SimplicialFamily) -> CoskData:
@@ -100,79 +105,52 @@ def cosk_data(f: SimplicialFamily) -> CoskData:
     Uses only the level-0 and level-1 data, so it is meaningful even when
     the family has no 2-simplices.
     """
-    from .family import span_of_1simplex
-
     base = f.h0.base
     comps = {i: f.component(0, i) for i in f.sset.s0}
     supp = {i: set(comps[i].support()) for i in f.sset.s0}
     pairs = tuple(
         (i, j) for i in f.sset.s0 for j in f.sset.s0 if supp[i] & supp[j]
     )
-    pair_limit, pair_proj, can1 = {}, {}, {}
-    for i, j in pairs:
-        prod, p1, p0 = product(comps[i], comps[j])
-        pair_limit[(i, j)] = prod
-        pair_proj[(i, j)] = (p1, p0)
-    for l in f.sset.s1:
-        ij = f.sset.endpoints(l)
-        can1[l] = pairing(
-            [f.component_face(1, 1, l), f.component_face(1, 0, l)], pair_limit[ij]
-        )
+    pair_limit = {(i, j): product(comps[i], comps[j])[0] for i, j in pairs}
     spans = {l: span_of_1simplex(f, l) for l in f.sset.s1}
+    can1 = {
+        l: pairing([s.left, s.right], pair_limit[f.sset.endpoints(l)])
+        for l, s in spans.items()
+    }
     t2, triple_limit = [], {}
-    for l, t, r in _composable_boundaries(f.sset):
+    by_pair = _by_pair(f.sset.s1, f.sset.endpoints)
+    for l, t, r in _composable_triples(by_pair, f.sset.s0):
         lim = _triangle_limit(base, spans[l], spans[t], spans[r])
         if not lim.is_initial():
             t2.append((l, t, r))
             triple_limit[(l, t, r)] = lim
-    can2 = {}
-    for w in f.sset.s2:
-        key = (f.sset.d(2, 2, w), f.sset.d(2, 1, w), f.sset.d(2, 0, w))
-        lim = triple_limit[key]
-        d2, d1, d0 = (f.component_face(2, i, w) for i in (2, 1, 0))
-        dom = f.component(2, w)
-        comp = {
-            p: {
-                e: (d2.apply(p, e), d1.apply(p, e), d0.apply(p, e))
-                for e in dom.fibers[p]
-            }
-            for p in base.points
-        }
-        can2[w] = PresheafMap(dom, lim, comp)
-    return CoskData(pairs, pair_limit, pair_proj, tuple(t2), triple_limit, can1, can2)
+    return CoskData(pairs, pair_limit, tuple(t2), triple_limit, can1)
 
 
 def hypercover_report(f: SimplicialFamily) -> dict:
     """Coverage tables: for each pair and boundary triple, the limit elements
-    not hit by any canonical component map."""
+    not hit by any canonical component map.  Level two is one pass over H2:
+    the faces of an element over ``w`` are its image in the limit over the
+    boundary of ``w``, and an image outside that limit raises ``ValueError``.
+    """
     data = cosk_data(f)
-    ls_by_pair = {}
-    for l in f.sset.s1:
-        ls_by_pair.setdefault(f.sset.endpoints(l), []).append(l)
-    ws_by_key = {}
-    for w in f.sset.s2:
-        key = (f.sset.d(2, 2, w), f.sset.d(2, 1, w), f.sset.d(2, 0, w))
-        ws_by_key.setdefault(key, []).append(w)
+    points = f.h0.base.points
+    by_pair = _by_pair(f.sset.s1, f.sset.endpoints)
     level1 = {}
     for ij in data.nerve_pairs:
-        lim = data.pair_limit[ij]
-        missed = []
-        for p in lim.base.points:
-            hit = set()
-            for l in ls_by_pair.get(ij, ()):
-                hit.update(data.can1[l].comp[p].values())
-            missed.extend((p, e) for e in lim.fibers[p] if e not in hit)
-        level1[ij] = missed
-    level2 = {}
-    for key in data.t2:
-        lim = data.triple_limit[key]
-        missed = []
-        for p in lim.base.points:
-            hit = set()
-            for w in ws_by_key.get(key, ()):
-                hit.update(data.can2[w].comp[p].values())
-            missed.extend((p, e) for e in lim.fibers[p] if e not in hit)
-        level2[key] = missed
+        hits = _hit_sets((data.can1[l].comp for l in by_pair.get(ij, ())), points)
+        level1[ij] = _missed(data.pair_limit[ij], hits)
+    boundary = {w: (f.sset.d(2, 2, w), f.sset.d(2, 1, w), f.sset.d(2, 0, w)) for w in f.sset.s2}
+    d2, d1, d0 = (f.face[(2, i)] for i in (2, 1, 0))
+    images = {key: {p: {} for p in points} for key in data.t2}
+    for p in points:
+        for e in f.h2.fibers[p]:
+            key = boundary[f.zeta[2].apply(p, e)]
+            image = (d2.apply(p, e), d1.apply(p, e), d0.apply(p, e))
+            if key not in images or image not in data.triple_limit[key].fiber_set(p):
+                raise ValueError(f"faces of {e!r} at {p!r} lie outside the limit over {key!r}")
+            images[key][p][e] = image
+    level2 = {k: _missed(data.triple_limit[k], _hit_sets([images[k]], points)) for k in data.t2}
     return {"level1": level1, "level2": level2}
 
 
@@ -187,9 +165,7 @@ def is_hypercover(f: SimplicialFamily, cover: Family) -> bool:
     if not cover_is_epi(cover):
         raise ValueError("the total of the cover does not cover the terminal object")
     report = hypercover_report(f)
-    return all(not v for v in report["level1"].values()) and all(
-        not v for v in report["level2"].values()
-    )
+    return not any(missed for level in report.values() for missed in level.values())
 
 
 @dataclass
@@ -314,9 +290,7 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
             raise ClosureError(f"identity span at {i!r} missing from the class")
         ident_lab[i] = span_label[ident.data_key()]
 
-    by_pair = {}
-    for lab, (s, ci) in record.items():
-        by_pair.setdefault((s.i, s.j), []).append(lab)
+    by_pair = _by_pair(record, lambda lab: (record[lab][0].i, record[lab][0].j))
 
     # 2-simplices: hash-join the commuting leg triples per boundary triangle.
     s2_faces = {}
@@ -332,33 +306,23 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
         return cache[(ci_w, lab)]
 
     index = sorted(comps, key=label_key)
-    for i, j in itertools.product(index, repeat=2):
-        for k in index:
-            for llab in by_pair.get((i, j), ()):
-                sl, _ = record[llab]
-                for tlab in by_pair.get((i, k), ()):
-                    st, _ = record[tlab]
-                    for rlab in by_pair.get((j, k), ()):
-                        sr, _ = record[rlab]
-                        for ci_w in range(len(vertices)):
-                            xs = maps_with_keys(ci_w, sl, llab)
-                            ys = maps_with_keys(ci_w, st, tlab)
-                            zs = maps_with_keys(ci_w, sr, rlab)
-                            y_by_left = {}
-                            for yo, my, kyl, kyr in ys:
-                                y_by_left.setdefault(kyl, []).append((yo, my, kyr))
-                            z_by_legs = {}
-                            for zo, mz, kzl, kzr in zs:
-                                z_by_legs.setdefault((kzl, kzr), []).append((zo, mz))
-                            for xo, mx, kxl, kxr in xs:
-                                for yo, my, kyr in y_by_left.get(kxl, ()):
-                                    for zo, mz in z_by_legs.get((kxr, kyr), ()):
-                                        wlab = ("sp2", llab, tlab, rlab, ci_w, xo, yo, zo)
-                                        s2_faces[wlab] = (
-                                            (llab, tlab, rlab),
-                                            ci_w,
-                                            (mx, my, mz),
-                                        )
+    for llab, tlab, rlab in _composable_triples(by_pair, index):
+        sl, st, sr = record[llab][0], record[tlab][0], record[rlab][0]
+        for ci_w in range(len(vertices)):
+            xs = maps_with_keys(ci_w, sl, llab)
+            ys = maps_with_keys(ci_w, st, tlab)
+            zs = maps_with_keys(ci_w, sr, rlab)
+            y_by_left = {}
+            for yo, my, kyl, kyr in ys:
+                y_by_left.setdefault(kyl, []).append((yo, my, kyr))
+            z_by_legs = {}
+            for zo, mz, kzl, kzr in zs:
+                z_by_legs.setdefault((kzl, kzr), []).append((zo, mz))
+            for xo, mx, kxl, kxr in xs:
+                for yo, my, kyr in y_by_left.get(kxl, ()):
+                    for zo, mz in z_by_legs.get((kxr, kyr), ()):
+                        wlab = ("sp2", llab, tlab, rlab, ci_w, xo, yo, zo)
+                        s2_faces[wlab] = ((llab, tlab, rlab), ci_w, (mx, my, mz))
     s2 = tuple(s2_faces)
 
     face = {
@@ -544,49 +508,27 @@ def check_epi_criteria(cover: Family, cls) -> bool:
     if isinstance(cls, SpanClass):
         spans = _all_spans(cover, cls)
         verts = cls.members
-        level1_all_homs = True
     else:
         spans = list(cls.members)
         verts = cls.vertices()
-        level1_all_homs = False
-    by_pair = {}
-    for s in spans:
-        by_pair.setdefault((s.i, s.j), []).append(s)
+    by_pair = _by_pair(spans, lambda s: (s.i, s.j))
+
+    def covered(lim, maps):
+        return not _missed(lim, _hit_sets((m.comp for m in maps), base.points))
+
+    # The spans of a SpanClass pair up every map from a member into the
+    # product, so level one reads the pairings for either kind of class.
     for i, j in itertools.product(index, repeat=2):
         if not (supp[i] & supp[j]):
             continue
         prod, _, _ = product(comps[i], comps[j])
-        maps = []
-        if level1_all_homs:
-            for v in verts:
-                maps.extend(hom_enumerate(v, prod))
-        else:
-            for s in by_pair.get((i, j), ()):
-                maps.append(pairing([s.left, s.right], prod))
-        for p in base.points:
-            hit = set()
-            for m in maps:
-                hit.update(m.comp[p].values())
-            if hit != set(prod.fibers[p]):
-                return False
-    for sl, st, sr in _composable_span_triples(by_pair, index):
+        pairings = [pairing([s.left, s.right], prod) for s in by_pair.get((i, j), ())]
+        if not covered(prod, pairings):
+            return False
+    for sl, st, sr in _composable_triples(by_pair, index):
         lim = _triangle_limit(base, sl, st, sr)
         if lim.is_initial():
             continue
-        for p in base.points:
-            hit = set()
-            for v in verts:
-                for m in hom_enumerate(v, lim):
-                    hit.update(m.comp[p].values())
-            if hit != set(lim.fibers[p]):
-                return False
+        if not covered(lim, [m for v in verts for m in hom_enumerate(v, lim)]):
+            return False
     return True
-
-
-def _composable_span_triples(by_pair, index):
-    for i, j in itertools.product(index, repeat=2):
-        for k in index:
-            for sl in by_pair.get((i, j), ()):
-                for st in by_pair.get((i, k), ()):
-                    for sr in by_pair.get((j, k), ()):
-                        yield sl, st, sr

@@ -65,6 +65,11 @@ class HypercoverIndex:
             visit(n, frozenset())
 
 
+def _sorted_edges(refinements):
+    """Edge items in ``label_key`` order of their names, which may mix types."""
+    return sorted(refinements.items(), key=lambda kv: (label_key(kv[0][0]), label_key(kv[0][1])))
+
+
 def validate_index(pi: HypercoverIndex):
     """Node and edge health: hypercovers with the filling condition, valid
     morphisms commuting with the dualities."""
@@ -77,7 +82,7 @@ def validate_index(pi: HypercoverIndex):
             out.append(f"node {name!r} is not a hypercover")
         if not condition_g(fam):
             out.append(f"node {name!r} fails the filling condition")
-    for (a, b), m in sorted(pi.refinements.items()):
+    for (a, b), m in _sorted_edges(pi.refinements):
         for v in validate_simplicial_family_morphism(m):
             out.append(f"refinement ({a!r}, {b!r}): {v}")
         for v in morphism_commutes_with_dualities(m, pi.nodes[a], pi.nodes[b]):
@@ -308,7 +313,7 @@ def assemble(pi: HypercoverIndex, budget: int = 10, max_len: int = 2):
     groupoids = {name: g_fundamental_presentation(fam) for name, fam in pi.nodes.items()}
     transitions = {}
     report = {}
-    for (a, b), m in sorted(pi.refinements.items()):
+    for (a, b), m in _sorted_edges(pi.refinements):
         fd = transition_functor(m, groupoids[a], groupoids[b], budget)
         transitions[(a, b)] = fd
         rep = is_strict(fd, budget, max_len)

@@ -194,6 +194,31 @@ def test_progroupoid_chain(tmp_path, capsys):
     assert main(["progroupoid", str(tmp_path / "missing.json")]) == 2
 
 
+def test_progroupoid_on_mixed_node_names(tmp_path, capsys):
+    pt = td.FinPoset.point()
+    parts = {"1": td.constant_presheaf(("a",), pt), "2": td.constant_presheaf(("b",), pt)}
+    covers = [
+        td.family_from_parts(pt, {"1": parts["1"]}),
+        td.family_from_parts(pt, parts),
+        td.family_from_parts(pt, dict(parts, **{"3": td.constant_presheaf(("c",), pt)})),
+    ]
+    idx = tmp_path / "index.json"
+    idx.write_text(
+        json.dumps(
+            {
+                "nodes": [
+                    {"name": name, "cover": family_to_json(cov)}
+                    for name, cov in zip([1, "B", "C"], covers)
+                ],
+                "edges": [[1, "B"], ["B", "C"]],
+            }
+        )
+    )
+    assert main(["progroupoid", str(idx)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert set(report["transitions"]) == {"1->B", "B->C"}
+
+
 def test_reports_are_deterministic(files, tmp_path):
     _, cover, datum, _ = files
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

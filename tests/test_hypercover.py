@@ -232,3 +232,42 @@ def test_representables_cover_chain_products(chain_cover):
         td.representable(poset, p) for p in poset.points
     )
     assert td.check_epi_criteria(chain_cover, td.SpanClass(members))
+
+
+def _cech_missing_triangle(pt):
+    """The Čech family of a two-element cover over a point with the
+    non-degenerate H2 element ``(a, b, a)`` removed."""
+    cover = td.family_from_parts(pt, {"1": td.constant_presheaf(("a", "b"), pt)})
+    fam = td.cech_simplicial_family(cover).base
+    h2 = td.constant_presheaf([e for e in fam.h2.fibers["pt"] if e != ("a", "b", "a")], pt)
+
+    def restrict(m, dom, cod):
+        return td.PresheafMap(dom, cod, {p: {e: m.apply(p, e) for e in dom.fibers[p]} for p in dom.base.points})
+
+    face = dict(fam.face)
+    for i in (0, 1, 2):
+        face[(2, i)] = restrict(fam.face[(2, i)], h2, fam.h1)
+    degen = dict(fam.degen)
+    for i in (0, 1):
+        degen[(1, i)] = restrict(fam.degen[(1, i)], fam.h1, h2)
+    zeta = (fam.zeta[0], fam.zeta[1], restrict(fam.zeta[2], h2, fam.zeta[2].cod))
+    return cover, td.SimplicialFamily(fam.h0, fam.h1, h2, face, degen, fam.sset, zeta)
+
+
+def test_level2_miss_is_reported(pt):
+    cover, fam = _cech_missing_triangle(pt)
+    assert td.validate_family(fam) == []
+    assert not td.is_hypercover(fam, cover)
+    report = td.hypercover_report(fam)
+    assert all(not missed for missed in report["level1"].values())
+    key = (("1", "1"),) * 3
+    assert report["level2"][key] == [("pt", (("a", "b"), ("a", "a"), ("b", "a")))]
+
+
+def test_level2_face_image_outside_limit_raises(pt):
+    _, fam = _cech_missing_triangle(pt)
+    face = dict(fam.face)
+    face[(2, 0)], face[(2, 2)] = fam.face[(2, 2)], fam.face[(2, 0)]
+    swapped = td.SimplicialFamily(fam.h0, fam.h1, fam.h2, face, fam.degen, fam.sset, fam.zeta)
+    with pytest.raises(ValueError):
+        td.hypercover_report(swapped)

@@ -16,6 +16,7 @@ import pytest
 import toposdescent as td
 from toposdescent.serialize import (
     action_to_json,
+    enc_label,
     family_to_json,
     hdescent_to_json,
     sdescent_to_json,
@@ -36,6 +37,11 @@ NERVE_SHA256 = "565bc55b6be7f465ec6f4fdf151af7dfc09d3a1bbd26ae2a8630b844105bd2ab
 # over every generated cover, in enumeration order: data are numbered by
 # their position, so a change of order changes reports and hom tables.
 ENUMERATION_SHA256 = "1adaea6d563ab7388f58bfc4992f1833b8e790bcdd6562d0bc31358bfb0a8d58"
+
+# SHA-256 of the hypercover coverage reports (the missed elements of every
+# pairwise product and boundary-triangle limit) of the connected, Čech and
+# identity-spans-only families over every generated cover.
+COVERAGE_SHA256 = "f4030f6b750d14f08027431de55f096a104791bb6966cf9cc099d7c87baff5e2"
 
 # SHA-256 of each demo's stdout under PYTHONHASHSEED=0.
 DEMO_SHA256 = {
@@ -106,6 +112,30 @@ def test_enumeration_order_pinned():
         )
     text = json.dumps(doc, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_SHA256
+
+
+def test_coverage_reports_pinned():
+    doc = {}
+    for name, cover in generated_covers():
+        ident = [
+            td.ClassSpan(i, i, u, td.PresheafMap.identity(u), td.PresheafMap.identity(u))
+            for i, u in td.family_components(cover).items()
+        ]
+        families = {
+            "connected": td.connected_refinement(cover).base,
+            "cech": td.cech_simplicial_family(cover).base,
+            "starved": td.one_span_refinement(cover, td.SpanClassSp(tuple(ident))).base,
+        }
+        for kind, fam in families.items():
+            doc[f"{name}/{kind}"] = {
+                level: {
+                    enc_label(key): [[enc_label(p), enc_label(e)] for p, e in missed]
+                    for key, missed in table.items()
+                }
+                for level, table in td.hypercover_report(fam).items()
+            }
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == COVERAGE_SHA256
 
 
 @pytest.mark.parametrize("demo", sorted(DEMO_SHA256))
