@@ -55,10 +55,10 @@ from .simplicial import (
     validate_simplicial_map,
 )
 from .family import (
+    ClassSpan,
     SelfDualFamily,
     SimplicialFamily,
     SimplicialFamilyMorphism,
-    Span1,
     Span2,
     cech_simplicial_family,
     condition_g,
@@ -73,7 +73,6 @@ from .family import (
     validate_simplicial_family_morphism,
 )
 from .hypercover import (
-    ClassSpan,
     CoskData,
     SpanClass,
     SpanClassSp,

@@ -20,10 +20,9 @@ from .covering import is_covering_projection, main1_forward, main2_equivalence
 from .descent import h_to_u, induced_h_from_s, validate_u_descent
 from .dot import presentation_dot, sset_dot
 from .errors import EmptyComponentError
-from .family import condition_g, validate_selfdual
+from .family import ClassSpan, condition_g, validate_selfdual
 from .groupoid import fundamental_presentation, g_fundamental_presentation
 from .hypercover import (
-    ClassSpan,
     SpanClass,
     SpanClassSp,
     connected_refinement,
@@ -128,7 +127,7 @@ def _load_span_class(spec, cover):
                 presheaf_from_json(m, cover.total.base) for m in data["members"]
             )
             return ("zero", SpanClass(members))
-        except (SerializationError, KeyError, TypeError, ValueError) as exc:
+        except (SerializationError, AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{path}: {exc}")
     if kind == "one":
         data = _load_json(path)
@@ -148,7 +147,7 @@ def _load_span_class(spec, cover):
                 )
                 spans.append(ClassSpan(i, j, vertex, left, right))
             return ("one", SpanClassSp(tuple(spans)))
-        except (SerializationError, KeyError, TypeError, ValueError) as exc:
+        except (SerializationError, AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{path}: {exc}")
     raise InputError(f"unknown span class {spec!r} (use connected, zero:FILE, one:FILE)")
 

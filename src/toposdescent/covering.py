@@ -29,7 +29,7 @@ from .descent import (
     validate_u_descent,
 )
 from .errors import EmptyComponentError
-from .family import SelfDualFamily, Span1, span_morphism_exists, span_of_1simplex
+from .family import ClassSpan, SelfDualFamily, span_morphism_exists, span_of_1simplex
 from .fintopos import (
     Family,
     label_key,
@@ -42,7 +42,7 @@ from .fintopos import (
     sorted_labels,
 )
 from .groupoid import enumerate_actions, g_fundamental_presentation
-from .hypercover import ClassSpan, SpanClassSp, one_span_refinement, representable_span
+from .hypercover import SpanClassSp, one_span_refinement, representable_span
 from .simplicial import cech_nerve
 
 
@@ -62,8 +62,6 @@ class ActionSpan:
     """A span over a pair of components together with the single carrier
     bijection through which a descent datum acts on it."""
 
-    i: object
-    j: object
     span: ClassSpan
     witness: dict
 
@@ -192,7 +190,7 @@ def validate_trivialization(lc: LocallyConstant):
     return out
 
 
-def action_span_test(span: Span1, u: UDescentDatum, i, j):
+def action_span_test(span: ClassSpan, u: UDescentDatum):
     """The witness bijection of the span, or None.
 
     The witness exists when the datum takes the same value on the leg image
@@ -204,7 +202,7 @@ def action_span_test(span: Span1, u: UDescentDatum, i, j):
     witness = None
     for p in span.vertex.base.points:
         for z in span.vertex.fibers[p]:
-            m = u.value(i, j, p, span.left.apply(p, z), span.right.apply(p, z))
+            m = u.value(span.i, span.j, p, span.left.apply(p, z), span.right.apply(p, z))
             if witness is None:
                 witness = m
             elif witness != m:
@@ -227,7 +225,7 @@ def is_covering_projection(cover: Family, u: UDescentDatum) -> bool:
             for x in comps[i].fibers[p]:
                 for y in comps[j].fibers[p]:
                     span = representable_span(base, comps, i, j, p, x, y)
-                    if action_span_test(span, u, i, j) is None:
+                    if action_span_test(span, u) is None:
                         return False
     return True
 
@@ -242,16 +240,17 @@ def sieve_check(spans) -> bool:
     table = {s.data_key(): s.witness for s in spans}
     for s in spans:
         base = s.span.vertex.base
-        comps_feet = {s.i: s.span.left.cod, s.j: s.span.right.cod}
+        i, j = s.span.i, s.span.j
+        comps_feet = {i: s.span.left.cod, j: s.span.right.cod}
         for p in base.points:
             for z in s.span.vertex.fibers[p]:
                 x, y = s.span.left.apply(p, z), s.span.right.apply(p, z)
-                sub = representable_span(base, comps_feet, s.i, s.j, p, x, y)
+                sub = representable_span(base, comps_feet, i, j, p, x, y)
                 if table.get(sub.data_key()) != s.witness:
                     return False
     for a in spans:
         for b in spans:
-            if (a.i, a.j) != (b.i, b.j) or a.data_key() == b.data_key():
+            if (a.span.i, a.span.j) != (b.span.i, b.span.j) or a.data_key() == b.data_key():
                 continue
             if span_morphism_exists(a.span, b.span) and a.witness != b.witness:
                 return False
@@ -267,17 +266,17 @@ def all_action_spans(cover: Family, u: UDescentDatum):
     for i in sorted(comps, key=label_key):
         idmap = PresheafMap.identity(comps[i])
         ident = ClassSpan(i, i, comps[i], idmap, idmap)
-        w = action_span_test(ident, u, i, i)
+        w = action_span_test(ident, u)
         if w is not None:
-            spans.append(ActionSpan(i, i, ident, w))
+            spans.append(ActionSpan(ident, w))
     for i, j in nerve.s1:
         for p in base.points:
             for x in comps[i].fibers[p]:
                 for y in comps[j].fibers[p]:
                     span = representable_span(base, comps, i, j, p, x, y)
-                    w = action_span_test(span, u, i, j)
+                    w = action_span_test(span, u)
                     if w is not None:
-                        spans.append(ActionSpan(i, j, span, w))
+                        spans.append(ActionSpan(span, w))
     seen, out = set(), []
     for s in spans:
         if s.data_key() not in seen:
@@ -296,8 +295,7 @@ def main1_forward(cover: Family, u: UDescentDatum):
     fam = one_span_refinement(cover, SpanClassSp(tuple(s.span for s in spans)))
     s = {}
     for l in fam.base.sset.s1:
-        i, j = fam.base.sset.endpoints(l)
-        w = action_span_test(span_of_1simplex(fam.base, l), u, i, j)
+        w = action_span_test(span_of_1simplex(fam.base, l), u)
         if w is None:
             raise ValueError(f"refinement 1-simplex {l!r} is not an action span")
         s[l] = w
@@ -312,13 +310,10 @@ def main1_forward(cover: Family, u: UDescentDatum):
 
 def _structure_maps_commute(objects, gens, ends, carr1, carr2, act1, act2):
     """Families of carrier maps commuting with the two structures."""
-    per_obj = []
-    for i in objects:
-        per_obj.append(
-            [dict(zip(carr1[i], vals)) for vals in itertools.product(carr2[i], repeat=len(carr1[i]))]
-            if carr1[i]
-            else [{}]
-        )
+    per_obj = [
+        [dict(zip(carr1[i], vals)) for vals in itertools.product(carr2[i], repeat=len(carr1[i]))]
+        for i in objects
+    ]
     out = []
     for combo in itertools.product(*per_obj):
         m = dict(zip(objects, combo))

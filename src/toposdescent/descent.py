@@ -159,20 +159,18 @@ def validate_h_descent(d: HDescentDatum):
             for e in comp.fibers[q]:
                 if table[p][comp.restrict(p, q, e)] != table[q][e]:
                     out.append(f"value at {l!r} is not natural at {e!r}")
+    s0 = f.degen[(0, 0)]
     for i in sset.s0:
         l = sset.deg(0, 0, i)
-        s0 = f.component_degen(0, 0, i)
         comp0 = f.component(0, i)
         for p in comp0.base.points:
             for x in comp0.fibers[p]:
                 m = d.value(l, p, s0.apply(p, x))
                 if any(m[y] != y for y in d.carrier[i]):
                     out.append(f"identity law fails at vertex {i!r} on {x!r}")
+    d2, d1, d0 = (f.face[(2, k)] for k in (2, 1, 0))
     for w in sset.s2:
         comp = f.component(2, w)
-        d2 = f.component_face(2, 2, w)
-        d1 = f.component_face(2, 1, w)
-        d0 = f.component_face(2, 0, w)
         l, t, r = sset.d(2, 2, w), sset.d(2, 1, w), sset.d(2, 0, w)
         for p in comp.base.points:
             for x in comp.fibers[p]:
@@ -266,12 +264,11 @@ def u_to_h(u: UDescentDatum, f: SelfDualFamily) -> HDescentDatum:
     if bad:
         raise ValueError("invalid descent datum: " + "; ".join(bad))
     fam = f.base
+    d1, d0 = fam.face[(1, 1)], fam.face[(1, 0)]
     sigma = {}
     for l in fam.sset.s1:
         i, j = fam.sset.endpoints(l)
         comp = fam.component(1, l)
-        d1 = fam.component_face(1, 1, l)
-        d0 = fam.component_face(1, 0, l)
         sigma[l] = {
             p: {
                 e: dict(u.value(i, j, p, d1.apply(p, e), d0.apply(p, e)))
@@ -300,12 +297,11 @@ def h_to_u(d: HDescentDatum, cover: Family) -> UDescentDatum:
     if bad:
         raise ValueError("invalid descent datum: " + "; ".join(bad))
     base = cover.total.base
+    d1, d0 = f.face[(1, 1)], f.face[(1, 0)]
     sigma = {}
     for l in f.sset.s1:
         i, j = f.sset.endpoints(l)
         comp = f.component(1, l)
-        d1 = f.component_face(1, 1, l)
-        d0 = f.component_face(1, 0, l)
         table = sigma.setdefault((i, j), {})
         for p in comp.base.points:
             for e in comp.fibers[p]:
@@ -411,19 +407,17 @@ def enumerate_h_descent_data(f: SelfDualFamily, size_bound: int = None, carriers
     sset = fam.sset
     slots, slot_of = _orbit_slots((l, fam.component(1, l)) for l in sset.s1)
     pinned = set()
+    s0 = fam.degen[(0, 0)]
     for i in sset.s0:
         l = sset.deg(0, 0, i)
-        s0 = fam.component_degen(0, 0, i)
         comp0 = fam.component(0, i)
         for p in comp0.base.points:
             for x in comp0.fibers[p]:
                 pinned.add(slot_of[(l, (p, s0.apply(p, x)))])
     constraints = set()
+    d2, d1, d0 = (fam.face[(2, k)] for k in (2, 1, 0))
     for w in sset.s2:
         comp = fam.component(2, w)
-        d2 = fam.component_face(2, 2, w)
-        d1 = fam.component_face(2, 1, w)
-        d0 = fam.component_face(2, 0, w)
         l, t, r = sset.d(2, 2, w), sset.d(2, 1, w), sset.d(2, 0, w)
         for p in comp.base.points:
             for x in comp.fibers[p]:

@@ -96,29 +96,30 @@ class SimplicialFamily:
 
     def component_face(self, n, i, w) -> PresheafMap:
         """The face map restricted to the component over ``w``."""
-        dom = self.component(n, w)
-        cod = self.component(n - 1, self.sset.d(n, i, w))
-        m = self.face[(n, i)]
-        return PresheafMap(
-            dom, cod, {p: {e: m.apply(p, e) for e in dom.fibers[p]} for p in dom.base.points}
-        )
+        return _component_map(self, self.face[(n, i)], n, w, n - 1, self.sset.d(n, i, w))
 
     def component_degen(self, n, i, w) -> PresheafMap:
-        dom = self.component(n, w)
-        cod = self.component(n + 1, self.sset.deg(n, i, w))
-        m = self.degen[(n, i)]
-        return PresheafMap(
-            dom, cod, {p: {e: m.apply(p, e) for e in dom.fibers[p]} for p in dom.base.points}
-        )
+        return _component_map(self, self.degen[(n, i)], n, w, n + 1, self.sset.deg(n, i, w))
 
     def level0_family(self) -> Family:
         return Family(self.h0, self.sset.s0, self.zeta[0])
 
 
-@dataclass
-class Span1:
-    """A one-storey span: a vertex presheaf with two legs to its feet."""
+def _component_map(f: SimplicialFamily, m: PresheafMap, n, w, k, v) -> PresheafMap:
+    """The level map ``m`` restricted to ``(H_n)_w -> (H_k)_v``."""
+    dom, cod = f.component(n, w), f.component(k, v)
+    return PresheafMap(
+        dom, cod, {p: {e: m.apply(p, e) for e in dom.fibers[p]} for p in dom.base.points}
+    )
 
+
+@dataclass
+class ClassSpan:
+    """A 1-span over a pair of component indices: a vertex presheaf with
+    legs to the components over ``i`` and ``j``."""
+
+    i: object
+    j: object
     vertex: Presheaf
     left: PresheafMap
     right: PresheafMap
@@ -127,8 +128,11 @@ class Span1:
         if self.left.dom != self.vertex or self.right.dom != self.vertex:
             raise ValueError("span legs must start at the vertex")
 
-    def dual(self) -> "Span1":
-        return Span1(self.vertex, self.right, self.left)
+    def data_key(self):
+        return (self.i, self.j, self.vertex.key(), self.left.key(), self.right.key())
+
+    def dual(self) -> "ClassSpan":
+        return ClassSpan(self.j, self.i, self.vertex, self.right, self.left)
 
 
 @dataclass
@@ -140,9 +144,9 @@ class Span2:
     to_left: PresheafMap
     to_middle: PresheafMap
     to_right: PresheafMap
-    left_span: Span1
-    middle_span: Span1
-    right_span: Span1
+    left_span: ClassSpan
+    middle_span: ClassSpan
+    right_span: ClassSpan
     p2: PresheafMap
     p1: PresheafMap
     p0: PresheafMap
@@ -160,10 +164,11 @@ class Span2:
                 raise ValueError("two-storey span does not commute")
 
 
-def span_of_1simplex(f: SimplicialFamily, l) -> Span1:
+def span_of_1simplex(f: SimplicialFamily, l) -> ClassSpan:
     if l not in set(f.sset.s1):
         raise ValueError(f"{l!r} is not a 1-simplex of the index")
-    return Span1(f.component(1, l), f.component_face(1, 1, l), f.component_face(1, 0, l))
+    i, j = f.sset.endpoints(l)
+    return ClassSpan(i, j, f.component(1, l), f.component_face(1, 1, l), f.component_face(1, 0, l))
 
 
 def span_of_2simplex(f: SimplicialFamily, w) -> Span2:
@@ -253,10 +258,7 @@ class SelfDualFamily:
         """(tau_n)_w : (H_n)_w -> (H_n)_{w^op}."""
         tau = (None, self.tau1, self.tau2)[n]
         wop = (None, self.tau_s.op1, self.tau_s.op2)[n](w)
-        dom, cod = self.base.component(n, w), self.base.component(n, wop)
-        return PresheafMap(
-            dom, cod, {p: {e: tau.apply(p, e) for e in dom.fibers[p]} for p in dom.base.points}
-        )
+        return _component_map(self.base, tau, n, w, n, wop)
 
 
 def validate_selfdual(sf: SelfDualFamily):
@@ -434,7 +436,7 @@ def counit(f: SimplicialFamily) -> SimplicialFamilyMorphism:
     return SimplicialFamilyMorphism(f, tf, h0, h1, h2, alpha)
 
 
-def span_morphism_exists(a: Span1, b: Span1) -> bool:
+def span_morphism_exists(a: ClassSpan, b: ClassSpan) -> bool:
     """Whether some map of vertices commutes with both legs (matching the
     left legs to each other and the right legs to each other)."""
     for phi in hom_enumerate(a.vertex, b.vertex):
@@ -450,7 +452,7 @@ def span_morphism_pairs(f: SimplicialFamily):
     pairs = []
     for l in f.sset.s1:
         for t in f.sset.s1:
-            if l == t or f.sset.endpoints(l) != f.sset.endpoints(t):
+            if l == t or (spans[l].i, spans[l].j) != (spans[t].i, spans[t].j):
                 continue
             if span_morphism_exists(spans[l], spans[t]):
                 pairs.append((l, t))
@@ -462,14 +464,15 @@ def condition_g(sf: SelfDualFamily) -> bool:
     edges ``l`` and ``l^op`` whose long edge has equal face legs."""
     f = sf.base
     s = f.sset
+    d1, d0 = f.face[(1, 1)], f.face[(1, 0)]
     by_faces = {}
     for w in s.s2:
         by_faces.setdefault((s.d(2, 2, w), s.d(2, 0, w)), []).append(w)
     for l in s.s1:
         found = False
         for w in by_faces.get((l, sf.tau_s.op1(l)), ()):
-            mid = s.d(2, 1, w)
-            if _maps_equal(f.component_face(1, 1, mid), f.component_face(1, 0, mid)):
+            mid = f.component(1, s.d(2, 1, w))
+            if all(d1.apply(p, e) == d0.apply(p, e) for p, e in mid.elements()):
                 found = True
                 break
         if not found:

@@ -389,8 +389,8 @@ def _hit_sets(comps, points):
 
 def _missed(cod: Presheaf, hit) -> list:
     """The ``(point, element)`` pairs of ``cod`` outside the hit sets, in
-    fiber order."""
-    return [(p, e) for p in cod.base.points for e in cod.fibers[p] if e not in hit[p]]
+    fiber order; a point without a hit set is missed whole."""
+    return [(p, e) for p in cod.base.points for e in cod.fibers[p] if e not in hit.get(p, ())]
 
 
 def union_find(items):

@@ -12,6 +12,7 @@ epimorphic at levels one and two.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import ClosureError, EmptyComponentError, InvariantError
@@ -33,20 +34,18 @@ from .fintopos import (
     representable,
     sorted_labels,
 )
-from .family import SelfDualFamily, SimplicialFamily, span_of_1simplex
+from .family import ClassSpan, SelfDualFamily, SimplicialFamily, span_of_1simplex
 from .simplicial import StrictDuality, TruncSSet
 
 
 @dataclass
 class CoskData:
-    """Pairwise products and boundary-triangle limits of a family, with the
-    canonical maps ``can1`` from the 1-simplex components into the products."""
+    """Pairwise products and boundary-triangle limits of a family."""
 
     nerve_pairs: tuple
     pair_limit: dict
     t2: tuple
     triple_limit: dict
-    can1: dict
 
 
 def _triangle_limit(base, sl, st, sr) -> Presheaf:
@@ -113,10 +112,6 @@ def cosk_data(f: SimplicialFamily) -> CoskData:
     )
     pair_limit = {(i, j): product(comps[i], comps[j])[0] for i, j in pairs}
     spans = {l: span_of_1simplex(f, l) for l in f.sset.s1}
-    can1 = {
-        l: pairing([s.left, s.right], pair_limit[f.sset.endpoints(l)])
-        for l, s in spans.items()
-    }
     t2, triple_limit = [], {}
     by_pair = _by_pair(f.sset.s1, f.sset.endpoints)
     for l, t, r in _composable_triples(by_pair, f.sset.s0):
@@ -124,34 +119,37 @@ def cosk_data(f: SimplicialFamily) -> CoskData:
         if not lim.is_initial():
             t2.append((l, t, r))
             triple_limit[(l, t, r)] = lim
-    return CoskData(pairs, pair_limit, tuple(t2), triple_limit, can1)
+    return CoskData(pairs, pair_limit, tuple(t2), triple_limit)
+
+
+def _uncovered(f: SimplicialFamily, n, limits) -> dict:
+    """Per key of ``limits``, the elements that no element of ``H_n`` hits.
+
+    The faces of an element over ``w`` are its point in the limit over the
+    boundary of ``w``; a point outside that limit raises ``ValueError``.
+    """
+    faces = [f.face[(n, k)] for k in range(n, -1, -1)]
+    boundary = {w: tuple(f.sset.d(n, k, w) for k in range(n, -1, -1)) for w in f.sset.level(n)}
+    hit = defaultdict(lambda: defaultdict(set))
+    for p in f.h0.base.points:
+        faces_at_p = [d.comp[p] for d in faces]
+        for e in f.level(n).fibers[p]:
+            key = boundary[f.zeta[n].apply(p, e)]
+            point = tuple([m[e] for m in faces_at_p])
+            if key not in limits or point not in limits[key].fiber_set(p):
+                raise ValueError(f"faces of {e!r} at {p!r} lie outside the limit over {key!r}")
+            hit[key][p].add(point)
+    return {key: _missed(lim, hit.get(key, {})) for key, lim in limits.items()}
 
 
 def hypercover_report(f: SimplicialFamily) -> dict:
     """Coverage tables: for each pair and boundary triple, the limit elements
-    not hit by any canonical component map.  Level two is one pass over H2:
-    the faces of an element over ``w`` are its image in the limit over the
-    boundary of ``w``, and an image outside that limit raises ``ValueError``.
-    """
+    not hit by the elements of H1, respectively H2, through their faces."""
     data = cosk_data(f)
-    points = f.h0.base.points
-    by_pair = _by_pair(f.sset.s1, f.sset.endpoints)
-    level1 = {}
-    for ij in data.nerve_pairs:
-        hits = _hit_sets((data.can1[l].comp for l in by_pair.get(ij, ())), points)
-        level1[ij] = _missed(data.pair_limit[ij], hits)
-    boundary = {w: (f.sset.d(2, 2, w), f.sset.d(2, 1, w), f.sset.d(2, 0, w)) for w in f.sset.s2}
-    d2, d1, d0 = (f.face[(2, i)] for i in (2, 1, 0))
-    images = {key: {p: {} for p in points} for key in data.t2}
-    for p in points:
-        for e in f.h2.fibers[p]:
-            key = boundary[f.zeta[2].apply(p, e)]
-            image = (d2.apply(p, e), d1.apply(p, e), d0.apply(p, e))
-            if key not in images or image not in data.triple_limit[key].fiber_set(p):
-                raise ValueError(f"faces of {e!r} at {p!r} lie outside the limit over {key!r}")
-            images[key][p][e] = image
-    level2 = {k: _missed(data.triple_limit[k], _hit_sets([images[k]], points)) for k in data.t2}
-    return {"level1": level1, "level2": level2}
+    return {
+        "level1": _uncovered(f, 1, data.pair_limit),
+        "level2": _uncovered(f, 2, data.triple_limit),
+    }
 
 
 def is_hypercover(f: SimplicialFamily, cover: Family) -> bool:
@@ -185,23 +183,6 @@ class SpanClass:
                 seen.add(k)
                 out.append(m)
         self.members = tuple(out)
-
-
-@dataclass
-class ClassSpan:
-    """A 1-span over a pair of component indices."""
-
-    i: object
-    j: object
-    vertex: Presheaf
-    left: PresheafMap
-    right: PresheafMap
-
-    def data_key(self):
-        return (self.i, self.j, self.vertex.key(), self.left.key(), self.right.key())
-
-    def dual(self) -> "ClassSpan":
-        return ClassSpan(self.j, self.i, self.vertex, self.right, self.left)
 
 
 @dataclass

@@ -343,8 +343,7 @@ def _span_data(fam: SelfDualFamily, l):
     base = fam.base
     i, j = base.sset.endpoints(l)
     comp = base.component(1, l)
-    d1 = base.component_face(1, 1, l)
-    d0 = base.component_face(1, 0, l)
+    d1, d0 = base.face[(1, 1)], base.face[(1, 0)]
     fibers = {p: tuple(sorted((_strip(e) for e in comp.fibers[p]), key=label_key)) for p in comp.base.points}
     left = {p: {_strip(e): d1.apply(p, e) for e in comp.fibers[p]} for p in comp.base.points}
     right = {p: {_strip(e): d0.apply(p, e) for e in comp.fibers[p]} for p in comp.base.points}
@@ -361,7 +360,7 @@ def _triangle_data(fam: SelfDualFamily, w):
     stripped images under its three faces."""
     base = fam.base
     comp = base.component(2, w)
-    faces = [base.component_face(2, k, w) for k in (2, 1, 0)]
+    faces = [base.face[(2, k)] for k in (2, 1, 0)]
 
     def rows(p):
         out = ((_strip(e), tuple(_strip(d.apply(p, e)) for d in faces)) for e in comp.fibers[p])

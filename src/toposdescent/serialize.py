@@ -108,7 +108,7 @@ def poset_from_json(d: dict) -> FinPoset:
             [dec_label(x) for x in d["points"]],
             [(dec_label(a), dec_label(b)) for a, b in d.get("leq", [])],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"bad poset: {exc}") from exc
 
 
@@ -134,7 +134,7 @@ def presheaf_from_json(d: dict, poset: FinPoset) -> Presheaf:
                 raise SerializationError(f"restriction key {key!r} is not of the form 'q>p'")
             rest[(dec_label(p), dec_label(q))] = _dec_map(m)
         return Presheaf(poset, fibers, rest)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"bad presheaf: {exc}") from exc
 
 
@@ -162,7 +162,7 @@ def family_from_json(d: dict) -> Family:
         return Family(total, index, struct)
     except SerializationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"bad family: {exc}") from exc
 
 
@@ -211,7 +211,7 @@ def sset_from_json(d: dict):
         if "tau" in d:
             tau = StrictDuality(_dec_map(d["tau"]["1"]), _dec_map(d["tau"]["2"]))
         return sset, tau
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:
         raise SerializationError(f"bad simplicial set: {exc}") from exc
 
 
@@ -234,7 +234,7 @@ def sdescent_from_json(d: dict):
             carrier={dec_label(i): tuple(dec_label(r) for r in rs) for i, rs in d["carriers"].items()},
             s={dec_label(l): _dec_map(m) for l, m in d["s"].items()},
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"bad descent datum: {exc}") from exc
 
 
@@ -266,7 +266,7 @@ def udescent_from_json(d: dict, cover: Family):
                 for pair, tables in d["sigma"].items()
             },
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"bad descent datum: {exc}") from exc
 
 
@@ -323,7 +323,7 @@ def selfdual_family_from_json(d: dict):
         return SelfDualFamily(fam, tau_s, tau1, tau2)
     except SerializationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"bad simplicial family: {exc}") from exc
 
 
@@ -342,7 +342,7 @@ def action_from_json(d: dict):
             carrier={dec_label(i): tuple(dec_label(r) for r in rs) for i, rs in d["carriers"].items()},
             gen_action={dec_label(g): _dec_map(m) for g, m in d["actions"].items()},
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"bad action: {exc}") from exc
 
 
@@ -375,5 +375,5 @@ def hdescent_from_json(d: dict, family):
                 for l, tables in d["sigma_hat"].items()
             },
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"bad descent datum: {exc}") from exc

@@ -133,6 +133,27 @@ def test_descend_check_exit_codes(files, capsys):
     assert json.loads(capsys.readouterr().out)["violations"]
 
 
+@pytest.mark.parametrize("case", ["nerve-fibers", "descend-sigma", "refine-left"])
+def test_array_for_object_is_an_input_error(files, case, capsys):
+    tmp, cover, _, _ = files
+    bad = tmp / "bad.json"
+    if case == "nerve-fibers":
+        doc = json.loads((tmp / "cover.json").read_text())
+        doc["total"]["fibers"] = []
+        argv = ["nerve", str(bad)]
+    elif case == "descend-sigma":
+        doc = json.loads((tmp / "swap.json").read_text())
+        doc["sigma"] = []
+        argv = ["descend", cover, str(bad), "--check"]
+    else:
+        vertex = {"fibers": {"pt": ["a"]}, "restrictions": {}}
+        doc = {"spans": [{"i": "1", "j": "1", "vertex": vertex, "left": [], "right": {"pt": {"a": "a"}}}]}
+        argv = ["refine", cover, "--class", f"one:{bad}"]
+    bad.write_text(json.dumps(doc))
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_descend_glue(files, capsys):
     _, cover, datum, _ = files
     assert main(["descend", cover, datum, "--glue"]) == 0

@@ -94,18 +94,20 @@ def test_trivialization_wrong_carrier_size(fixture_cover):
 def test_action_span_witnesses(fixture_cover):
     u = swap_datum(fixture_cover)
     comps = td.family_components(fixture_cover)
-    ident = td.Span1(
-        comps["1"], td.PresheafMap.identity(comps["1"]), td.PresheafMap.identity(comps["1"])
+    ident = td.ClassSpan(
+        "1", "1", comps["1"], td.PresheafMap.identity(comps["1"]), td.PresheafMap.identity(comps["1"])
     )
-    w = td.action_span_test(ident, u, "1", "1")
+    w = td.action_span_test(ident, u)
     assert w == {0: 0, 1: 1}
     # every span over the one-point base carries the constant swap
-    cross = td.Span1(
+    cross = td.ClassSpan(
+        "1",
+        "2",
         comps["1"],
         td.PresheafMap.identity(comps["1"]),
         td.PresheafMap(comps["1"], comps["2"], {"pt": {"a": "c"}}),
     )
-    assert td.action_span_test(cross, u, "1", "2") == {0: 1, 1: 0}
+    assert td.action_span_test(cross, u) == {0: 1, 1: 0}
 
 
 def test_action_span_none_on_nonconstant_values(fixture_cover):
@@ -121,22 +123,24 @@ def test_action_span_none_on_nonconstant_values(fixture_cover):
     )
     raw.sigma[("2", "2")]["pt"][("b", "c")] = {0: 1, 1: 0}
     comps = td.family_components(fixture_cover)
-    span = td.Span1(
+    span = td.ClassSpan(
+        "2",
+        "2",
         comps["2"],
         td.PresheafMap.identity(comps["2"]),
         td.PresheafMap(comps["2"], comps["2"], {"pt": {"b": "c", "c": "c"}}),
     )
-    assert td.action_span_test(span, raw, "2", "2") is None
+    assert td.action_span_test(span, raw) is None
     with pytest.raises(td.EmptyComponentError):
         td.action_span_test(
-            td.Span1(
+            td.ClassSpan(
+                "1",
+                "1",
                 td.initial_presheaf(fixture_cover.total.base),
                 td.PresheafMap(td.initial_presheaf(fixture_cover.total.base), comps["1"], {"pt": {}}),
                 td.PresheafMap(td.initial_presheaf(fixture_cover.total.base), comps["1"], {"pt": {}}),
             ),
             u,
-            "1",
-            "1",
         )
 
 
@@ -159,10 +163,17 @@ def test_sieve_check(fixture_cover):
     pruned = [
         s
         for s in spans
-        if not (s.i == "2" and s.j == "2" and s.span.vertex.fibers["pt"] == ("*",))
+        if not (s.span.i == "2" and s.span.j == "2" and s.span.vertex.fibers["pt"] == ("*",))
     ]
     assert len(pruned) < len(spans)
     assert not td.sieve_check(pruned)
+
+
+def test_action_span_key_is_its_span_key(fixture_cover):
+    spans = td.all_action_spans(fixture_cover, swap_datum(fixture_cover))
+    assert spans
+    for s in spans:
+        assert s.data_key() == s.span.data_key()
 
 
 def test_main1_forward_swap(fixture_cover):

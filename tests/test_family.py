@@ -120,6 +120,21 @@ def test_span_extraction_cech(fixture_cover):
     assert sp2.p0.apply("pt", ("a", "b", "c")) == "c"
 
 
+def test_span_legs_must_start_at_the_vertex(fixture_cover):
+    comps = td.family_components(fixture_cover)
+    u, v = comps["1"], comps["2"]
+    with pytest.raises(ValueError, match="start at the vertex"):
+        td.ClassSpan("1", "2", v, td.PresheafMap.identity(u), td.PresheafMap.identity(v))
+
+
+def test_span_indices_are_the_endpoints(fixture_cover):
+    for sf in (td.cech_simplicial_family(fixture_cover), td.connected_refinement(fixture_cover)):
+        fam = sf.base
+        for l in fam.sset.s1:
+            sp = td.span_of_1simplex(fam, l)
+            assert (sp.i, sp.j) == fam.sset.endpoints(l)
+
+
 def test_degenerate_span_has_section_retraction(fixture_cover):
     fam = td.cech_simplicial_family(fixture_cover).base
     i = "2"

@@ -11,7 +11,8 @@ def test_cosk_data_cech_canonical_iso(fixture_cover):
     data = td.cosk_data(fam)
     # level one of the canonical family is exactly the pairwise products
     for l in fam.sset.s1:
-        assert data.can1[l].is_iso()
+        sp = td.span_of_1simplex(fam, l)
+        assert td.fintopos.pairing([sp.left, sp.right], data.pair_limit[(sp.i, sp.j)]).is_iso()
     assert data.pair_limit[("1", "2")].size() == 2
 
 
