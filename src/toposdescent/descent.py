@@ -4,10 +4,12 @@ over a cover, with the correspondences between them.
 An index descent datum assigns a bijection of carriers to every
 1-simplex, trivially on degenerate simplices and compatibly with every
 triangle; these are the same thing as actions of the fundamental
-groupoid.  A family descent datum assigns bijections elementwise along
-the components of level one (stored in the first-projection form, one
-bijection per component element per point); a cover descent datum does
-the same along the pairwise products of the cover.  Over a hypercover
+groupoid, and are enumerated as such.  A family descent datum assigns
+bijections elementwise along the components of level one (stored in the
+first-projection form, one bijection per component element per point); a
+cover descent datum does the same along the pairwise products of the
+cover, which are the components of level one of its Čech family, so cover
+data are enumerated as family data over that family.  Over a hypercover
 refinement the family data and the cover data determine each other by
 composing with, respectively solving against, the canonical comparison
 maps.
@@ -18,12 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IncompatibleFamilyError, InvariantError
-from .fintopos import Family, connected_components, family_components, product
-from .family import SelfDualFamily, span_morphism_pairs
+from .fintopos import Family, connected_components, family_components
+from .family import SelfDualFamily, cech_simplicial_family, span_morphism_pairs
 from .groupoid import (
     GroupoidAction,
     GroupoidPresentation,
     _is_bijection,
+    enumerate_actions,
+    fundamental_presentation,
+    g_fundamental_presentation,
     solve_carrier_slots,
     validate_action,
 )
@@ -82,8 +87,6 @@ def s_to_action(sset: TruncSSet, d: SDescentDatum) -> GroupoidAction:
 
 
 def action_to_s(sset: TruncSSet, a: GroupoidAction, pres: GroupoidPresentation = None) -> SDescentDatum:
-    from .groupoid import fundamental_presentation
-
     pres = pres or fundamental_presentation(sset)
     bad = validate_action(pres, a)
     if bad:
@@ -93,28 +96,12 @@ def action_to_s(sset: TruncSSet, a: GroupoidAction, pres: GroupoidPresentation =
 
 def enumerate_s_descent_data(sset: TruncSSet, size_bound: int = None, carriers=None):
     """All valid index descent data with canonical carriers of size at most
-    the bound, or on fixed carriers.
-
-    One slot per 1-simplex (degenerate ones pinned to the identity), with
-    the triangles as composition constraints, solved by backtracking.
-    """
-    ends = [sset.endpoints(l) for l in sset.s1]
-    slot_of = {l: k for k, l in enumerate(sset.s1)}
-    pinned = {slot_of[sset.deg(0, 0, i)] for i in sset.s0}
-    constraints = {
-        (slot_of[sset.d(2, 2, w)], slot_of[sset.d(2, 0, w)], slot_of[sset.d(2, 1, w)])
-        for w in sset.s2
-    }
-    out = []
-    for carrier, combo in solve_carrier_slots(
-        sset.s0, ends, ends, pinned, constraints, size_bound=size_bound, carriers=carriers
-    ):
-        cand = SDescentDatum(carrier=dict(carrier), s={l: dict(m) for l, m in zip(sset.s1, combo)})
-        problems = validate_s_descent(sset, cand)
-        if problems:
-            raise InvariantError("; ".join(problems))
-        out.append(cand)
-    return out
+    the bound, or on fixed carriers: the actions of the fundamental
+    presentation, in their enumeration order, read as data."""
+    return [
+        SDescentDatum(carrier=a.carrier, s=a.gen_action)
+        for a in enumerate_actions(fundamental_presentation(sset), size_bound, carriers)
+    ]
 
 
 @dataclass
@@ -335,8 +322,6 @@ def consistent_to_g_action(
     d: SDescentDatum, f: SelfDualFamily, pres: GroupoidPresentation = None
 ) -> GroupoidAction:
     """A consistent datum acts through the refined fundamental groupoid."""
-    from .groupoid import g_fundamental_presentation
-
     if not is_consistent(d, f):
         raise ValueError("descent datum is not consistent")
     pres = pres or g_fundamental_presentation(f)
@@ -352,8 +337,6 @@ def consistent_to_g_action(
 def action_to_consistent(
     a: GroupoidAction, f: SelfDualFamily, pres: GroupoidPresentation = None
 ) -> SDescentDatum:
-    from .groupoid import g_fundamental_presentation
-
     pres = pres or g_fundamental_presentation(f)
     bad = validate_action(pres, a)
     if bad:
@@ -364,77 +347,58 @@ def action_to_consistent(
     return d
 
 
-def _orbit_slots(pieces):
-    """One slot per restriction orbit of each keyed presheaf.
-
-    Returns the slots as ``(key, orbit)`` pairs and the slot index of every
-    ``(key, (point, element))``.
-    """
-    slots, slot_of = [], {}
-    for key, x in pieces:
-        for orbit in connected_components(x):
-            for el in orbit.elements():
-                slot_of[(key, el)] = len(slots)
-            slots.append((key, orbit))
-    return slots, slot_of
-
-
-def _orbit_tables(slots, combo, keys, points):
-    """The elementwise table of a solution: each element of an orbit takes
-    the bijection of its slot, and every key has a table at every point."""
-    sigma = {}
-    for (key, orbit), m in zip(slots, combo):
-        table = sigma.setdefault(key, {})
-        for p, e in orbit.elements():
-            table.setdefault(p, {})[e] = dict(m)
-    for key in keys:
-        table = sigma.setdefault(key, {})
-        for p in points:
-            table.setdefault(p, {})
-    return sigma
-
-
 def enumerate_h_descent_data(f: SelfDualFamily, size_bound: int = None, carriers=None):
     """All valid family descent data with carriers up to the bound (or on
     fixed carriers).
 
-    Naturality means one bijection per restriction orbit of each component;
-    the identity law pins the orbits meeting a degenerate image, and the
-    cocycle law becomes composition constraints between orbit slots, solved
-    by backtracking.
+    Naturality means one bijection per restriction orbit of each component
+    of level one; the identity law pins the orbits meeting a degenerate
+    image, and the cocycle law becomes composition constraints between
+    orbit slots, solved by backtracking.
     """
     fam = f.base
     sset = fam.sset
-    slots, slot_of = _orbit_slots((l, fam.component(1, l)) for l in sset.s1)
-    pinned = set()
+    slots, slot_of = [], {}
+    for l in sset.s1:
+        for orbit in connected_components(fam.component(1, l)):
+            for el in orbit.elements():
+                slot_of[(l, el)] = len(slots)
+            slots.append((l, orbit))
     s0 = fam.degen[(0, 0)]
-    for i in sset.s0:
-        l = sset.deg(0, 0, i)
-        comp0 = fam.component(0, i)
-        for p in comp0.base.points:
-            for x in comp0.fibers[p]:
-                pinned.add(slot_of[(l, (p, s0.apply(p, x)))])
+    pinned = {
+        slot_of[(sset.deg(0, 0, i), (p, s0.apply(p, x)))]
+        for i in sset.s0
+        for p, x in fam.component(0, i).elements()
+    }
     constraints = set()
     d2, d1, d0 = (fam.face[(2, k)] for k in (2, 1, 0))
     for w in sset.s2:
-        comp = fam.component(2, w)
         l, t, r = sset.d(2, 2, w), sset.d(2, 1, w), sset.d(2, 0, w)
-        for p in comp.base.points:
-            for x in comp.fibers[p]:
-                constraints.add(
-                    (
-                        slot_of[(l, (p, d2.apply(p, x)))],
-                        slot_of[(r, (p, d0.apply(p, x)))],
-                        slot_of[(t, (p, d1.apply(p, x)))],
-                    )
+        for p, x in fam.component(2, w).elements():
+            constraints.add(
+                (
+                    slot_of[(l, (p, d2.apply(p, x)))],
+                    slot_of[(r, (p, d0.apply(p, x)))],
+                    slot_of[(t, (p, d1.apply(p, x)))],
                 )
+            )
     sized = [sset.endpoints(l) for l in sset.s1]
     ends = [sset.endpoints(l) for l, _ in slots]
     out = []
     for carrier, combo in solve_carrier_slots(
         sset.s0, sized, ends, pinned, constraints, size_bound=size_bound, carriers=carriers
     ):
-        sigma = _orbit_tables(slots, combo, sset.s1, fam.h0.base.points)
+        # Each element of an orbit takes the bijection of its slot, and
+        # every 1-simplex has a table at every point.
+        sigma = {}
+        for (l, orbit), m in zip(slots, combo):
+            table = sigma.setdefault(l, {})
+            for p, e in orbit.elements():
+                table.setdefault(p, {})[e] = dict(m)
+        for l in sset.s1:
+            table = sigma.setdefault(l, {})
+            for p in fam.h0.base.points:
+                table.setdefault(p, {})
         cand = HDescentDatum(family=f, carrier=dict(carrier), sigma_hat=sigma)
         problems = validate_h_descent(cand)
         if problems:
@@ -445,40 +409,10 @@ def enumerate_h_descent_data(f: SelfDualFamily, size_bound: int = None, carriers
 
 def enumerate_u_descent_data(cover: Family, size_bound: int = None, carriers=None):
     """All valid cover descent data with carriers up to the bound (or on
-    fixed carriers); same orbit-and-constraint search as the family case."""
-    comps = family_components(cover)
-    nerve, _ = cech_nerve(cover)
-    base = cover.total.base
-    slots, slot_of = _orbit_slots(
-        ((i, j), product(comps[i], comps[j])[0]) for i, j in nerve.s1
-    )
-    pinned = set()
-    for i in nerve.s0:
-        for p in base.points:
-            for x in comps[i].fibers[p]:
-                pinned.add(slot_of[((i, i), (p, (x, x)))])
-    constraints = set()
-    for i, j, k in nerve.s2:
-        for p in base.points:
-            for x in comps[i].fibers[p]:
-                for y in comps[j].fibers[p]:
-                    for z in comps[k].fibers[p]:
-                        constraints.add(
-                            (
-                                slot_of[((i, j), (p, (x, y)))],
-                                slot_of[((j, k), (p, (y, z)))],
-                                slot_of[((i, k), (p, (x, z)))],
-                            )
-                        )
-    ends = [pair for pair, _ in slots]
-    out = []
-    for carrier, combo in solve_carrier_slots(
-        nerve.s0, nerve.s1, ends, pinned, constraints, size_bound=size_bound, carriers=carriers
-    ):
-        sigma = _orbit_tables(slots, combo, nerve.s1, base.points)
-        cand = UDescentDatum(cover=cover, carrier=dict(carrier), sigma=sigma)
-        problems = validate_u_descent(cand)
-        if problems:
-            raise InvariantError("; ".join(problems))
-        out.append(cand)
-    return out
+    fixed carriers): the family data over the Čech family of the cover, whose
+    1-simplices are the nerve pairs and whose components of level one are
+    the pairwise products, in their enumeration order."""
+    return [
+        UDescentDatum(cover=cover, carrier=d.carrier, sigma=d.sigma_hat)
+        for d in enumerate_h_descent_data(cech_simplicial_family(cover), size_bound, carriers)
+    ]

@@ -50,7 +50,9 @@ class SimplicialFamily:
     degen: dict
     sset: TruncSSet
     zeta: tuple
-    _components: dict = field(default_factory=dict, repr=False, compare=False)
+    # Components, span morphism pairs and the coverage report, each computed
+    # on first use.
+    _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.face) != set(_H_FACE_KEYS) or set(self.degen) != set(_H_DEGEN_KEYS):
@@ -78,7 +80,7 @@ class SimplicialFamily:
         component in turn stays linear in the size of the level.
         """
         key = (n, w)
-        if key not in self._components:
+        if key not in self._derived:
             lvl, z = self.level(n), self.zeta[n]
             fibers = {v: {p: [] for p in lvl.base.points} for v in self.sset.level(n)}
             for p in lvl.base.points:
@@ -89,10 +91,10 @@ class SimplicialFamily:
                     pq: {e: lvl.restrictions[pq][e] for e in fib[pq[1]]}
                     for pq in lvl.base.strict_pairs()
                 }
-                self._components[(n, v)] = Presheaf(
+                self._derived[(n, v)] = Presheaf(
                     lvl.base, {p: tuple(es) for p, es in fib.items()}, rest
                 )
-        return self._components[key]
+        return self._derived[key]
 
     def component_face(self, n, i, w) -> PresheafMap:
         """The face map restricted to the component over ``w``."""
@@ -447,16 +449,19 @@ def span_morphism_exists(a: ClassSpan, b: ClassSpan) -> bool:
 
 def span_morphism_pairs(f: SimplicialFamily):
     """Ordered pairs (l, t) of distinct parallel 1-simplices admitting a
-    span morphism from the span of l to the span of t."""
-    spans = {l: span_of_1simplex(f, l) for l in f.sset.s1}
-    pairs = []
-    for l in f.sset.s1:
-        for t in f.sset.s1:
-            if l == t or (spans[l].i, spans[l].j) != (spans[t].i, spans[t].j):
-                continue
-            if span_morphism_exists(spans[l], spans[t]):
-                pairs.append((l, t))
-    return pairs
+    span morphism from the span of l to the span of t; computed once per
+    family."""
+    if "span_morphism_pairs" not in f._derived:
+        spans = {l: span_of_1simplex(f, l) for l in f.sset.s1}
+        f._derived["span_morphism_pairs"] = [
+            (l, t)
+            for l in f.sset.s1
+            for t in f.sset.s1
+            if l != t
+            and (spans[l].i, spans[l].j) == (spans[t].i, spans[t].j)
+            and span_morphism_exists(spans[l], spans[t])
+        ]
+    return f._derived["span_morphism_pairs"]
 
 
 def condition_g(sf: SelfDualFamily) -> bool:

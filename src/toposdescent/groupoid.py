@@ -167,9 +167,6 @@ class GroupoidAction:
     carrier: dict
     gen_action: dict
 
-    def carrier_at(self, i):
-        return self.carrier[i]
-
 
 def validate_action(p: GroupoidPresentation, a: GroupoidAction):
     """Empty iff the data is an action: total bijective generator maps that
@@ -290,6 +287,7 @@ def enumerate_actions(p: GroupoidPresentation, size_bound: int, carriers=None):
     are short positive words become equality or composition constraints for
     a backtracking search, and any remaining relations are checked on the
     solutions.  Deduplication is by equality of raw data, not isomorphism.
+    Every action holds its own generator maps.
     """
     slot_of = {g: k for k, g in enumerate(p.generators)}
     pinned = {slot_of[g] for g in p.identities.values()}
@@ -318,7 +316,9 @@ def enumerate_actions(p: GroupoidPresentation, size_bound: int, carriers=None):
     for carrier, combo in solve_carrier_slots(
         p.objects, ends, ends, pinned, comp_constraints, eq_pairs, size_bound, carriers
     ):
-        cand = GroupoidAction(carrier=dict(carrier), gen_action=dict(zip(p.generators, combo)))
+        cand = GroupoidAction(
+            carrier=dict(carrier), gen_action={g: dict(m) for g, m in zip(p.generators, combo)}
+        )
         if leftover and any(
             any(act(cand, wa, x) != act(cand, wb, x) for x in carrier[wa.start])
             for wa, wb in leftover

@@ -144,12 +144,15 @@ def _uncovered(f: SimplicialFamily, n, limits) -> dict:
 
 def hypercover_report(f: SimplicialFamily) -> dict:
     """Coverage tables: for each pair and boundary triple, the limit elements
-    not hit by the elements of H1, respectively H2, through their faces."""
-    data = cosk_data(f)
-    return {
-        "level1": _uncovered(f, 1, data.pair_limit),
-        "level2": _uncovered(f, 2, data.triple_limit),
-    }
+    not hit by the elements of H1, respectively H2, through their faces;
+    computed once per family."""
+    if "hypercover_report" not in f._derived:
+        data = cosk_data(f)
+        f._derived["hypercover_report"] = {
+            "level1": _uncovered(f, 1, data.pair_limit),
+            "level2": _uncovered(f, 2, data.triple_limit),
+        }
+    return f._derived["hypercover_report"]
 
 
 def is_hypercover(f: SimplicialFamily, cover: Family) -> bool:

@@ -217,6 +217,35 @@ def test_main2_equivalence_fixture(fixture_cover):
     assert rep.object_count_data >= 2
 
 
+def test_main2_hom_counts_match_the_action_side(fixture_cover):
+    from toposdescent.covering import _structure_maps_commute
+
+    ref = td.connected_refinement(fixture_cover)
+    rep = td.main2_equivalence(fixture_cover, ref, 2)
+    pres = td.g_fundamental_presentation(ref)
+    actions = td.enumerate_actions(pres, 2)
+    image = []
+    for d in td.enumerate_s_descent_data(ref.base.sset, 2):
+        if td.is_consistent(d, ref):
+            b = td.consistent_to_g_action(d, ref, pres)
+            image.append(next(a for a in actions if (a.carrier, a.gen_action) == (b.carrier, b.gen_action)))
+
+    def ends(g):
+        return (pres.src[g], pres.tgt[g])
+
+    expected = {
+        (n1, n2): len(
+            _structure_maps_commute(
+                pres.objects, pres.generators, ends, a1.carrier, a2.carrier, a1.gen_action, a2.gen_action
+            )
+        )
+        for n1, a1 in enumerate(image)
+        for n2, a2 in enumerate(image)
+    }
+    assert len(expected) == rep.object_count_data**2 > 0
+    assert rep.hom_counts_data == expected
+
+
 def test_main2_requires_condition_g(fixture_cover):
     cech = td.cech_simplicial_family(fixture_cover)
     with pytest.raises(ValueError):

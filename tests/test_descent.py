@@ -3,7 +3,7 @@
 import pytest
 
 import toposdescent as td
-from conftest import swap_datum
+from conftest import generated_covers, swap_datum
 
 
 def _swap():
@@ -283,3 +283,19 @@ def test_transfer_on_chain_base():
     for h in hdata:
         back = td.u_to_h(td.h_to_u(h, cover), ref)
         assert back.sigma_hat == h.sigma_hat
+
+
+def test_enumerated_data_pass_their_validators():
+    # the cover and index enumerators read their data off the family and
+    # action searches; the validators check them independently
+    for name, cover in generated_covers():
+        for u in td.enumerate_u_descent_data(cover, 2):
+            assert td.validate_u_descent(u) == [], name
+        nerve, _ = td.cech_nerve(cover)
+        for d in td.enumerate_s_descent_data(nerve, 2):
+            assert td.validate_s_descent(nerve, d) == [], name
+
+
+def test_span_morphism_pairs_computed_once_per_family(fixture_cover):
+    fam = td.connected_refinement(fixture_cover).base
+    assert td.span_morphism_pairs(fam) is td.span_morphism_pairs(fam)

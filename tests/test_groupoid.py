@@ -181,6 +181,15 @@ def test_enumerate_actions_indiscrete(full_nerve):
         assert len(a.carrier["1"]) == len(a.carrier["2"])
 
 
+def test_enumerated_actions_and_index_data_share_no_maps(full_nerve):
+    nerve, _ = full_nerve
+    acts = td.enumerate_actions(td.fundamental_presentation(nerve), 2)
+    data = td.enumerate_s_descent_data(nerve, 2)
+    for maps in ([a.gen_action for a in acts], [d.s for d in data]):
+        ids = [id(m) for table in maps for m in table.values()]
+        assert len(ids) == len(set(ids))
+
+
 def test_action_invariance_under_equal_words(full_nerve):
     nerve, _ = full_nerve
     pres = td.fundamental_presentation(nerve)

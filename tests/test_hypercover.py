@@ -59,6 +59,30 @@ def test_is_hypercover_level0_mismatch(fixture_cover, two_singleton_cover):
         td.is_hypercover(fam, two_singleton_cover)
 
 
+def test_coverage_report_computed_once_per_family(fixture_cover, two_singleton_cover, monkeypatch):
+    calls = []
+    real = td.hypercover.cosk_data
+    monkeypatch.setattr(td.hypercover, "cosk_data", lambda f: calls.append(f) or real(f))
+    fam = td.connected_refinement(fixture_cover).base
+    assert td.is_hypercover(fam, fixture_cover)
+    assert td.is_hypercover(fam, fixture_cover)
+    assert len(calls) == 1
+    # level 0 is still checked against the given cover on every call
+    with pytest.raises(ValueError, match="level-0"):
+        td.is_hypercover(fam, two_singleton_cover)
+    # a kept negative verdict still makes h_to_u refuse, call after call
+    ident = [
+        td.ClassSpan(i, i, u, td.PresheafMap.identity(u), td.PresheafMap.identity(u))
+        for i, u in sorted(td.family_components(two_singleton_cover).items())
+    ]
+    starved = td.one_span_refinement(two_singleton_cover, td.SpanClassSp(tuple(ident)))
+    h = td.enumerate_h_descent_data(starved, carriers={"1": ("*",), "2": ("*",)})[0]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a hypercover"):
+            td.h_to_u(h, two_singleton_cover)
+    assert len(calls) == 2
+
+
 def test_connected_refinement_is_hypercover(cover_suite):
     for name, cover in cover_suite:
         ref = td.connected_refinement(cover)

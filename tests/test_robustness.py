@@ -38,6 +38,14 @@ NERVE_SHA256 = "565bc55b6be7f465ec6f4fdf151af7dfc09d3a1bbd26ae2a8630b844105bd2ab
 # their position, so a change of order changes reports and hom tables.
 ENUMERATION_SHA256 = "1adaea6d563ab7388f58bfc4992f1833b8e790bcdd6562d0bc31358bfb0a8d58"
 
+# SHA-256 of the second pipeline's inputs and reports over the generated
+# covers: the index data of each connected refinement at bound 2, and, on
+# all covers but the two slowest, the cover data at bound 3 and the
+# ``main2_equivalence`` report at bound 2 (object counts, both hom tables,
+# round trips and verdict).
+MAIN2_SHA256 = "d6a3cfd901b6f52f531a79740af3004cd3d010158b92ed593cdbee9ae35968a5"
+MAIN2_SLOW_COVERS = ("point-2x3", "diamond-mixed")
+
 # SHA-256 of the hypercover coverage reports (the missed elements of every
 # pairwise product and boundary-triangle limit) of the connected, Čech and
 # identity-spans-only families over every generated cover.
@@ -112,6 +120,29 @@ def test_enumeration_order_pinned():
         )
     text = json.dumps(doc, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_SHA256
+
+
+def test_main2_inputs_and_reports_pinned():
+    doc = []
+    for name, cover in generated_covers():
+        ref = td.connected_refinement(cover)
+        entry = {
+            "cover": name,
+            "s": [sdescent_to_json(d) for d in td.enumerate_s_descent_data(ref.base.sset, 2)],
+        }
+        if name not in MAIN2_SLOW_COVERS:
+            entry["u"] = [udescent_to_json(d) for d in td.enumerate_u_descent_data(cover, 3)]
+            rep = td.main2_equivalence(cover, ref, 2)
+            entry["main2"] = {
+                "objects": [rep.object_count_data, rep.object_count_actions],
+                "hom_data": [[n1, n2, c] for (n1, n2), c in rep.hom_counts_data.items()],
+                "hom_actions": [[n1, n2, c] for (n1, n2), c in rep.hom_counts_actions.items()],
+                "round_trips_identity": rep.round_trips_identity,
+                "ok": rep.ok,
+            }
+        doc.append(entry)
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == MAIN2_SHA256
 
 
 def test_coverage_reports_pinned():
