@@ -15,7 +15,6 @@ fundamental groupoid, by exhaustive verification at a carrier bound.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .descent import (
@@ -28,7 +27,7 @@ from .descent import (
     validate_s_descent,
     validate_u_descent,
 )
-from .errors import EmptyComponentError
+from .errors import EmptyComponentError, InvariantError
 from .family import ClassSpan, SelfDualFamily, span_morphism_exists, span_of_1simplex
 from .fintopos import (
     Family,
@@ -309,25 +308,65 @@ def main1_forward(cover: Family, u: UDescentDatum):
 
 
 def _structure_maps_commute(objects, gens, ends, carr1, carr2, act1, act2):
-    """Families of carrier maps commuting with the two structures."""
-    per_obj = [
-        [dict(zip(carr1[i], vals)) for vals in itertools.product(carr2[i], repeat=len(carr1[i]))]
-        for i in objects
-    ]
-    out = []
-    for combo in itertools.product(*per_obj):
-        m = dict(zip(objects, combo))
-        ok = True
-        for g in gens:
-            i, j = ends(g)
-            for x in carr1[i]:
-                if m[j][act1[g][x]] != act2[g][m[i][x]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(m)
+    """Families of carrier maps commuting with the two structures, in the
+    order of the product of the carriers' maps: lexicographic in the
+    ``carr2`` position of each image, object by object and element by
+    element in ``carr1`` order.
+
+    A commuting family is fixed on each orbit of ``carr1`` by its value at
+    one element.  So the search branches on an element only if no earlier
+    choice fixed it, and propagates every choice along each generator,
+    forwards through ``act2[g]`` and backwards through its inverse; a
+    conflict rejects the choice.  Going backwards needs ``act2[g]``
+    injective, which a generator map of an action is.
+    """
+    # links[(i, x)]: pairs (w, image) such that the value y at x fixes the
+    # value at w to image[y]
+    links = {(i, x): [] for i in objects for x in carr1[i]}
+    for g in gens:
+        i, j = ends(g)
+        inverse = {y: x for x, y in act2[g].items()}
+        if len(inverse) != len(act2[g]):
+            raise InvariantError(f"the second structure's map of {g!r} is not injective")
+        for x in carr1[i]:
+            links[i, x].append(((j, act1[g][x]), act2[g]))
+            links[j, act1[g][x]].append(((i, x), inverse))
+    allowed = {i: set(carr2[i]) for i in objects}
+    variables = list(links)
+    value, out = {}, []
+
+    def fix(v, y, trail):
+        todo = [(v, y)]
+        while todo:
+            v, y = todo.pop()
+            if v in value:
+                if value[v] != y:
+                    return False
+                continue
+            if y not in allowed[v[0]]:
+                return False
+            value[v] = y
+            trail.append(v)
+            for w, image in links[v]:
+                if y not in image:
+                    return False
+                todo.append((w, image[y]))
+        return True
+
+    def search(k):
+        while k < len(variables) and variables[k] in value:
+            k += 1
+        if k == len(variables):
+            out.append({i: {x: value[i, x] for x in carr1[i]} for i in objects})
+            return
+        for y in carr2[variables[k][0]]:
+            trail = []
+            if fix(variables[k], y, trail):
+                search(k + 1)
+            for v in trail:
+                del value[v]
+
+    search(0)
     return out
 
 

@@ -189,9 +189,12 @@ def validate_action(p: GroupoidPresentation, a: GroupoidAction):
     for i, g in p.identities.items():
         if any(a.gen_action[g][x] != x for x in a.carrier[i]):
             out.append(f"identity generator at {i!r} does not act as the identity")
+    inverses = {}
     for n, (wa, wb) in enumerate(p.relations):
         for x in a.carrier[wa.start]:
-            if act(a, wa, x) != act(a, wb, x):
+            if _apply(a.gen_action, wa.letters, x, inverses) != _apply(
+                a.gen_action, wb.letters, x, inverses
+            ):
                 out.append(f"relation {n} fails on {x!r}")
                 break
     return out
@@ -207,11 +210,22 @@ def _is_bijection(m, dom, cod):
 
 def act(a: GroupoidAction, w: Word, x):
     """Apply a word to an element of the carrier at its base."""
-    if x not in set(a.carrier[w.start]):
+    if x not in a.carrier[w.start]:
         raise ValueError(f"{x!r} is not in the carrier at {w.start!r}")
-    for g, sign in w.letters:
-        m = a.gen_action[g]
-        x = m[x] if sign > 0 else {v: k for k, v in m.items()}[x]
+    return _apply(a.gen_action, w.letters, x, {})
+
+
+def _apply(gen_action, letters, x, inverses):
+    """Apply signed letters to ``x`` through the generator maps; the inverse
+    of a map is built on first use and kept in ``inverses``."""
+    for g, sign in letters:
+        if sign > 0:
+            x = gen_action[g][x]
+        else:
+            inverse = inverses.get(g)
+            if inverse is None:
+                inverse = inverses[g] = {v: k for k, v in gen_action[g].items()}
+            x = inverse[x]
     return x
 
 

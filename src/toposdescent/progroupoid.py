@@ -272,9 +272,14 @@ def classifying_category(p: GroupoidPresentation, bound: int) -> CategoryData:
             homs[(n1, n2)] = _structure_maps_commute(
                 p.objects, p.generators, ends, a1.carrier, a2.carrier, a1.gen_action, a2.gen_action
             )
+
+    def frozen(m):
+        return frozenset((i, frozenset(m[i].items())) for i in p.objects)
+
+    members = {key: {frozen(m) for m in maps} for key, maps in homs.items()}
     identities_ok = all(
-        any(all(m[i] == {x: x for x in actions[n].carrier[i]} for i in p.objects) for m in homs[(n, n)])
-        for n in range(len(actions))
+        frozen({i: {x: x for x in a.carrier[i]} for i in p.objects}) in members[(n, n)]
+        for n, a in enumerate(actions)
     )
     composition_ok = True
     for n1 in range(len(actions)):
@@ -286,7 +291,7 @@ def classifying_category(p: GroupoidPresentation, bound: int) -> CategoryData:
                             i: {x: m2[i][m1[i][x]] for x in actions[n1].carrier[i]}
                             for i in p.objects
                         }
-                        if comp not in homs[(n1, n3)]:
+                        if frozen(comp) not in members[(n1, n3)]:
                             composition_ok = False
     return CategoryData(p, actions, homs, identities_ok, composition_ok)
 

@@ -210,6 +210,28 @@ def test_word_machinery_on_dual_edge():
     assert td.word_equal(pres, w, ident, 4) is td.Verdict.DISTINCT
 
 
+def test_inverse_letters_act_through_the_inverse_map():
+    # a 3-cycle is not its own inverse, so g^-1 = g g holds and g^-1 = g fails
+    def loop_pres(*relations):
+        return td.GroupoidPresentation(
+            objects=("o",),
+            generators=("g",),
+            src={"g": "o"},
+            tgt={"g": "o"},
+            relations=relations,
+            identities={},
+        )
+
+    a = td.GroupoidAction(carrier={"o": (0, 1, 2)}, gen_action={"g": {0: 1, 1: 2, 2: 0}})
+    g, g_inv = td.Word("o", (("g", 1),)), td.Word("o", (("g", -1),))
+    assert [td.act(a, g_inv, x) for x in (0, 1, 2)] == [2, 0, 1]
+    assert td.act(a, td.Word("o", (("g", -1), ("g", -1), ("g", 1))), 0) == 2
+    assert td.validate_action(loop_pres((g_inv, td.Word("o", (("g", 1), ("g", 1))))), a) == []
+    assert td.validate_action(loop_pres((g_inv, g)), a) == ["relation 0 fails on 0"]
+    with pytest.raises(ValueError, match="3 is not in the carrier at 'o'"):
+        td.act(a, g, 3)
+
+
 from hypothesis import given, settings, strategies as st
 
 

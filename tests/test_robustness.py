@@ -51,6 +51,12 @@ MAIN2_SLOW_COVERS = ("point-2x3", "diamond-mixed")
 # identity-spans-only families over every generated cover.
 COVERAGE_SHA256 = "f4030f6b750d14f08027431de55f096a104791bb6966cf9cc099d7c87baff5e2"
 
+# SHA-256 of the ``repr`` of the hom tables (every equivariant map, in
+# order, each dict in insertion order) and of both verdicts of
+# ``classifying_category`` at bound 2, on the fixture's connected refinement
+# and on the singleton cover's Čech nerve.
+CLASSIFYING_SHA256 = "64d147915d476536fd2a9746229ee4be628f8962617935daed08643e9314cc23"
+
 # SHA-256 of each demo's stdout under PYTHONHASHSEED=0.
 DEMO_SHA256 = {
     "01_presheaves_and_nerves.py": "f7ce2ebf0863f975e9456bf666c61d951e51efed52635cea78a54c2b7216661b",
@@ -167,6 +173,16 @@ def test_coverage_reports_pinned():
             }
     text = json.dumps(doc, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == COVERAGE_SHA256
+
+
+def test_classifying_category_pinned(fixture_cover, singleton_cover):
+    presentations = [
+        td.g_fundamental_presentation(td.connected_refinement(fixture_cover)),
+        td.fundamental_presentation(td.cech_nerve(singleton_cover)[0]),
+    ]
+    cats = [td.classifying_category(pres, 2) for pres in presentations]
+    text = repr([(cat.homs, cat.identities_ok, cat.composition_ok) for cat in cats])
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASSIFYING_SHA256
 
 
 @pytest.mark.parametrize("demo", sorted(DEMO_SHA256))
