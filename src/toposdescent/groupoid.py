@@ -11,10 +11,13 @@ morphism; under the filling condition this forces every generator to be
 invertible by a short rewrite.
 
 Word equality in a finitely presented groupoid is undecidable in
-general, so :func:`word_equal` is a three-valued bounded procedure:
-a breadth-first rewriting search certifies equality, a search for a
-separating action of bounded size certifies inequality, and otherwise
-the verdict is unknown.
+general, so :func:`word_equal` is a three-valued bounded procedure.  It
+first tests the words against the actions of bounded size (finite
+quotients, enumerated once per presentation and bound): one that tells
+them apart certifies inequality.  Otherwise a breadth-first rewriting
+search, which looks up the applicable rules by first letter, certifies
+equality, and failing that the verdict is unknown.  The rewriting search
+is sound, so testing the actions first changes no verdict.
 """
 
 from __future__ import annotations
@@ -58,6 +61,8 @@ class GroupoidPresentation:
     identities: dict
 
     def __post_init__(self):
+        self._object_set = frozenset(self.objects)
+        self._generator_set = frozenset(self.generators)
         for g in self.generators:
             if g not in self.src or g not in self.tgt:
                 raise ValueError(f"generator {g!r} lacks endpoints")
@@ -76,9 +81,16 @@ class GroupoidPresentation:
 
     def check_word(self, w: Word):
         at = w.start
-        if at not in set(self.objects):
+        if at not in self._object_set:
             raise ValueError(f"word based at unknown object {at!r}")
         for letter in w.letters:
+            if not (
+                isinstance(letter, tuple)
+                and len(letter) == 2
+                and letter[0] in self._generator_set
+                and letter[1] in (1, -1)
+            ):
+                raise ValueError(f"malformed letter {letter!r}: not a generator with sign 1 or -1")
             a, b = self.letter_ends(letter)
             if a != at:
                 raise ValueError("word letters do not compose")
@@ -265,16 +277,23 @@ def solve_carrier_slots(
 ):
     """Bijection-slot search on every admissible choice of carriers.
 
-    Carriers are the canonical ``0..n-1`` of each size up to ``size_bound``
-    (the last object varying fastest), or the fixed ``carriers``; a choice
-    is skipped unless each pair of objects in ``sized`` has carriers of
-    equal size.  Slot ``k`` ranges over the bijections from the carrier at
+    Carriers are the canonical ``0..n-1`` of each size up to ``size_bound``,
+    one size per connected component of ``sized`` (components ordered by
+    their first object, the last varying fastest: the lexicographic order
+    of the size tuples), or the fixed ``carriers``; a choice is skipped
+    unless each pair of objects in ``sized`` has carriers of equal size.
+    Slot ``k`` ranges over the bijections from the carrier at
     ``ends[k][0]`` to the one at ``ends[k][1]``, or is the identity if
     pinned.  Returns the ``(carrier, combo)`` solutions, carrier by carrier.
     """
     if carriers is None:
-        sizes = itertools.product(range(size_bound + 1), repeat=len(objects))
-        carrier_list = [{i: tuple(range(n)) for i, n in zip(objects, ns)} for ns in sizes]
+        find, union = union_find(objects)
+        for i, j in sized:
+            union(i, j)
+        roots = list(dict.fromkeys(find(i) for i in objects))
+        component = [roots.index(find(i)) for i in objects]
+        sizes = itertools.product(range(size_bound + 1), repeat=len(roots))
+        carrier_list = [{i: tuple(range(ns[c])) for i, c in zip(objects, component)} for ns in sizes]
     else:
         carrier_list = [dict(carriers)]
     comp_constraints, eq_pairs = sorted(comp_constraints), sorted(eq_pairs)
@@ -362,6 +381,40 @@ def _rules(p: GroupoidPresentation):
     return rules
 
 
+def _rule_index(p: GroupoidPresentation):
+    """The rewrite rules with the places they can apply: rule numbers by the
+    first letter of a non-empty left side, and insertion rules (empty left
+    side) by their base object.  Cached on the presentation."""
+    cached = getattr(p, "_rule_index_cache", None)
+    if cached is not None:
+        return cached
+    rules = _rules(p)
+    by_letter, by_object = {}, {}
+    for n, (lhs, _) in enumerate(rules):
+        if lhs.letters:
+            by_letter.setdefault(lhs.letters[0], []).append(n)
+        else:
+            by_object.setdefault(lhs.start, []).append(n)
+    result = (rules, by_letter, by_object)
+    p._rule_index_cache = result
+    return result
+
+
+def _separating_actions(p: GroupoidPresentation, bound: int):
+    """The actions with carriers of size at most the bound, as (carrier,
+    generator maps, inverse maps built on use).  Enumerated once per bound
+    and cached on the presentation; they are never handed out."""
+    cache = getattr(p, "_actions_cache", None)
+    if cache is None:
+        cache = p._actions_cache = {}
+    actions = cache.get(bound)
+    if actions is None:
+        actions = cache[bound] = [
+            (a.carrier, a.gen_action, {}) for a in enumerate_actions(p, bound)
+        ]
+    return actions
+
+
 def generator_congruence(p: GroupoidPresentation):
     """Union-find closure of the relations whose sides are single positive
     letters or empty: a sound, fast fragment of word equality.
@@ -395,9 +448,13 @@ def _object_path(p: GroupoidPresentation, w: Word):
     return tuple(path)
 
 
-def _neighbors(p: GroupoidPresentation, w: Word, rules):
+def _neighbors(p: GroupoidPresentation, w: Word, index):
     """All words one rewrite away: free reductions and rule applications
-    (including insertions of relation sides at matching objects)."""
+    (including insertions of relation sides at matching objects).
+
+    ``index`` is :func:`_rule_index`; only the rules whose first letter
+    occurs in the word, or whose base object lies on its path, can apply,
+    and they are tried in rule order."""
     out = []
     letters = w.letters
     for k in range(len(letters) - 1):
@@ -405,7 +462,14 @@ def _neighbors(p: GroupoidPresentation, w: Word, rules):
         if g1 == g2 and s1 == -s2:
             out.append(Word(w.start, letters[:k] + letters[k + 2 :]))
     path = _object_path(p, w)
-    for lhs, rhs in rules:
+    rules, by_letter, by_object = index
+    candidates = set()
+    for letter in set(letters):
+        candidates.update(by_letter.get(letter, ()))
+    for obj in set(path):
+        candidates.update(by_object.get(obj, ()))
+    for r in sorted(candidates):
+        lhs, rhs = rules[r]
         n = len(lhs.letters)
         if n == 0:
             for k in range(len(letters) + 1):
@@ -430,10 +494,13 @@ def word_equal(
 ) -> Verdict:
     """Three-valued bounded word equality.
 
-    Runs a bidirectional breadth-first rewriting search of depth ``budget``
-    (capped at ``max_states`` explored words, deterministically); on
-    failure, searches for a separating action with carriers of size at most
-    ``action_bound`` (skipped when ``separate`` is false, leaving UNKNOWN).
+    Unless ``separate`` is false, first tests the words against every
+    action with carriers of size at most ``action_bound`` (enumerated once
+    per presentation and bound): DISTINCT if one tells them apart.  Then
+    runs a bidirectional breadth-first rewriting search of depth ``budget``
+    (capped at ``max_states`` explored words, deterministically): EQUAL if
+    it joins the words, UNKNOWN otherwise.  The search only joins equal
+    words, so the order of the two phases does not change the verdict.
     """
     p.check_word(w1)
     p.check_word(w2)
@@ -441,7 +508,13 @@ def word_equal(
         raise ValueError("word endpoints do not match")
     if w1 == w2:
         return Verdict.EQUAL
-    rules = _rules(p)
+    if separate and any(
+        _apply(maps, w1.letters, x, inverses) != _apply(maps, w2.letters, x, inverses)
+        for carrier, maps, inverses in _separating_actions(p, action_bound)
+        for x in carrier[w1.start]
+    ):
+        return Verdict.DISTINCT
+    index = _rule_index(p)
     seen1, seen2 = {w1}, {w2}
     front1, front2 = [w1], [w2]
     for _ in range(budget):
@@ -455,7 +528,7 @@ def word_equal(
             grow1 = False
         new = []
         for w in front:
-            for v in _neighbors(p, w, rules):
+            for v in _neighbors(p, w, index):
                 if v in other:
                     return Verdict.EQUAL
                 if v not in seen:
@@ -467,11 +540,4 @@ def word_equal(
             front2 = new
         if not front1 and not front2:
             break
-    if separate:
-        for action in enumerate_actions(p, action_bound):
-            if any(
-                act(action, w1, x) != act(action, w2, x)
-                for x in action.carrier[w1.start]
-            ):
-                return Verdict.DISTINCT
     return Verdict.UNKNOWN

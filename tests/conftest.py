@@ -207,6 +207,26 @@ def generated_covers():
     return out
 
 
+@pytest.fixture(scope="session")
+def generated_refinements():
+    """(name, cover, connected refinement) for every generated cover, built
+    once per session."""
+    return [(name, cover, td.connected_refinement(cover)) for name, cover in generated_covers()]
+
+
+def inverse_and_endo_pairs(sset, tau):
+    """Word pairs on an index, as (label, w1, w2): each 1-simplex followed
+    by its dual against the identity at its source (equal under the filling
+    condition), and each endo-1-simplex against the empty word."""
+    inverse, endo = [], []
+    for l in sset.s1:
+        i, j = sset.endpoints(l)
+        inverse.append((l, td.Word(i, ((l, 1), (tau.op1(l), 1))), td.Word(i, ((sset.deg(0, 0, i), 1),))))
+        if i == j:
+            endo.append((l, td.Word(i, ((l, 1),)), td.Word(i, ())))
+    return inverse, endo
+
+
 @pytest.fixture
 def cover_suite():
     return generated_covers()

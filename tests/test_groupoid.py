@@ -232,6 +232,23 @@ def test_inverse_letters_act_through_the_inverse_map():
         td.act(a, g, 3)
 
 
+def test_malformed_letters_are_rejected():
+    # with a sign of 0, (e, 0)(e, 0) would cancel to the empty word, as 0 == -0
+    def pres(*relations):
+        return td.GroupoidPresentation(
+            objects=("a",), generators=("e",), src={"e": "a"}, tgt={"e": "a"},
+            relations=relations, identities={},
+        )
+
+    ident = td.Word("a", ())
+    for letters in ((("e", 0), ("e", 0)), (("e", 2),), (("f", 1),), ("e",), (("e", 1, 1),)):
+        with pytest.raises(ValueError, match="malformed letter"):
+            td.word_equal(pres(), td.Word("a", letters), ident, 2)
+        with pytest.raises(ValueError, match="malformed letter"):
+            pres((td.Word("a", letters), ident))
+    assert td.word_equal(pres(), td.Word("a", (("e", -1), ("e", -1))), ident, 2) is td.Verdict.UNKNOWN
+
+
 from hypothesis import given, settings, strategies as st
 
 

@@ -22,7 +22,7 @@ from toposdescent.serialize import (
     sdescent_to_json,
     udescent_to_json,
 )
-from conftest import generated_covers
+from conftest import generated_covers, inverse_and_endo_pairs
 
 PACKAGE = Path(td.__file__).resolve().parent
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -56,6 +56,11 @@ COVERAGE_SHA256 = "f4030f6b750d14f08027431de55f096a104791bb6966cf9cc099d7c87baff
 # ``classifying_category`` at bound 2, on the fixture's connected refinement
 # and on the singleton cover's Čech nerve.
 CLASSIFYING_SHA256 = "64d147915d476536fd2a9746229ee4be628f8962617935daed08643e9314cc23"
+
+# SHA-256 of the bounded word-problem verdicts on the g-presentation of each
+# generated cover's connected refinement: every inverse pair at budget 10
+# and every endo pair at budget 6, in 1-simplex order.
+WORDS_SHA256 = "19f6fe6fc6523b1b434dfadbf0ef2c4c0f6af220a89b35f2ae68a05f4b7add1f"
 
 # SHA-256 of each demo's stdout under PYTHONHASHSEED=0.
 DEMO_SHA256 = {
@@ -183,6 +188,18 @@ def test_classifying_category_pinned(fixture_cover, singleton_cover):
     cats = [td.classifying_category(pres, 2) for pres in presentations]
     text = repr([(cat.homs, cat.identities_ok, cat.composition_ok) for cat in cats])
     assert hashlib.sha256(text.encode()).hexdigest() == CLASSIFYING_SHA256
+
+
+def test_word_verdicts_pinned(generated_refinements):
+    doc = []
+    for name, _, ref in generated_refinements:
+        pres = td.g_fundamental_presentation(ref)
+        inverse, endo = inverse_and_endo_pairs(ref.base.sset, ref.tau_s)
+        for kind, pairs, budget in (("inverse", inverse, 10), ("endo", endo, 6)):
+            for l, w1, w2 in pairs:
+                doc.append([name, kind, enc_label(l), td.word_equal(pres, w1, w2, budget).value])
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == WORDS_SHA256
 
 
 @pytest.mark.parametrize("demo", sorted(DEMO_SHA256))
