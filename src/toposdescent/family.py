@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import EmptyComponentError
+from .errors import BaseMismatchError, EmptyComponentError
 from .fintopos import (
     Family,
     Presheaf,
     PresheafMap,
-    constant_presheaf,
+    _constant,
+    _sub_presheaf,
     hom_enumerate,
     pairing,
     product_list,
@@ -67,7 +68,7 @@ class SimplicialFamily:
         if len(self.zeta) != 3:
             raise ValueError("zeta must have three levels")
         for n, z in enumerate(self.zeta):
-            if z.dom != levels[n] or z.cod != constant_presheaf(self.sset.level(n), self.h0.base):
+            if z.dom != levels[n] or z.cod != _constant(self.sset.level(n), self.h0.base):
                 raise ValueError(f"zeta_{n} has wrong endpoints")
 
     def level(self, n):
@@ -87,12 +88,8 @@ class SimplicialFamily:
                 for e in lvl.fibers[p]:
                     fibers[z.apply(p, e)][p].append(e)
             for v, fib in fibers.items():
-                rest = {
-                    pq: {e: lvl.restrictions[pq][e] for e in fib[pq[1]]}
-                    for pq in lvl.base.strict_pairs()
-                }
-                self._derived[(n, v)] = Presheaf(
-                    lvl.base, {p: tuple(es) for p, es in fib.items()}, rest
+                self._derived[(n, v)] = _sub_presheaf(
+                    lvl, {p: tuple(es) for p, es in fib.items()}
                 )
         return self._derived[key]
 
@@ -110,8 +107,8 @@ class SimplicialFamily:
 def _component_map(f: SimplicialFamily, m: PresheafMap, n, w, k, v) -> PresheafMap:
     """The level map ``m`` restricted to ``(H_n)_w -> (H_k)_v``."""
     dom, cod = f.component(n, w), f.component(k, v)
-    return PresheafMap(
-        dom, cod, {p: {e: m.apply(p, e) for e in dom.fibers[p]} for p in dom.base.points}
+    return PresheafMap._trusted(
+        dom, cod, {p: {e: m.comp[p][e] for e in dom.fibers[p]} for p in dom.base.points}
     )
 
 
@@ -167,14 +164,14 @@ class Span2:
 
 
 def span_of_1simplex(f: SimplicialFamily, l) -> ClassSpan:
-    if l not in set(f.sset.s1):
+    if l not in f.sset.level_set(1):
         raise ValueError(f"{l!r} is not a 1-simplex of the index")
     i, j = f.sset.endpoints(l)
     return ClassSpan(i, j, f.component(1, l), f.component_face(1, 1, l), f.component_face(1, 0, l))
 
 
 def span_of_2simplex(f: SimplicialFamily, w) -> Span2:
-    if w not in set(f.sset.s2):
+    if w not in f.sset.level_set(2):
         raise ValueError(f"{w!r} is not a 2-simplex of the index")
     l, t, r = f.sset.d(2, 2, w), f.sset.d(2, 1, w), f.sset.d(2, 0, w)
     d2, d1, d0 = (f.component_face(2, i, w) for i in (2, 1, 0))
@@ -193,31 +190,78 @@ def span_of_2simplex(f: SimplicialFamily, w) -> Span2:
     )
 
 
-def _maps_equal(a: PresheafMap, b: PresheafMap) -> bool:
-    return a.comp == b.comp
+def _composable(a: PresheafMap, b: PresheafMap):
+    if b.cod != a.dom:
+        raise BaseMismatchError("composite of non-composable presheaf maps")
+
+
+def _same_composite(a: PresheafMap, b: PresheafMap, c: PresheafMap, d: PresheafMap) -> bool:
+    """Whether ``a.after(b)`` and ``c.after(d)`` have equal components,
+    compared element by element without building either composite."""
+    _composable(a, b)
+    _composable(c, d)
+    if b.comp.keys() != d.comp.keys():
+        return False
+    for p, bp in b.comp.items():
+        ap, cp, dp = a.comp[p], c.comp[p], d.comp[p]
+        if bp.keys() != dp.keys() or any(ap[v] != cp[dp[e]] for e, v in bp.items()):
+            return False
+    return True
+
+
+def _composite_is(a: PresheafMap, b: PresheafMap, c: PresheafMap = None) -> bool:
+    """Whether ``a.after(b)`` has the components of ``c``, or of the identity
+    of ``b.dom`` when ``c`` is None, compared element by element."""
+    _composable(a, b)
+    if c is not None and b.comp.keys() != c.comp.keys():
+        return False
+    for p, bp in b.comp.items():
+        ap = a.comp[p]
+        if c is None:
+            if any(ap[v] != e for e, v in bp.items()):
+                return False
+            continue
+        cp = c.comp[p]
+        if bp.keys() != cp.keys() or any(ap[v] != cp[e] for e, v in bp.items()):
+            return False
+    return True
+
+
+def _component_emptiness(f: SimplicialFamily):
+    """A message per index simplex that no element of its level lies over,
+    read off the images of the zeta maps."""
+    out = []
+    for n in (0, 1, 2):
+        hit = set()
+        for m in f.zeta[n].comp.values():
+            hit.update(m.values())
+        for w in f.sset.level(n):
+            if w not in hit:
+                out.append(f"component over {w!r} on level {n} is empty (non-emptiness assumption)")
+    return out
 
 
 def validate_family(f: SimplicialFamily):
     """All simplicial-family laws; empty iff the family is valid."""
     out = [f"index simplicial set: {v}" for v in validate(f.sset)]
 
-    def eq(a, b, name):
-        if not _maps_equal(a, b):
+    def eq(ok, name):
+        if not ok:
             out.append(f"{name} fails")
 
     fc, dg = f.face, f.degen
     for i in (0, 1):
-        eq(fc[(1, i)].after(dg[(0, 0)]), PresheafMap.identity(f.h0), f"d{i} s0 = id on H0")
-    eq(fc[(1, 0)].after(fc[(2, 1)]), fc[(1, 0)].after(fc[(2, 0)]), "d0 d1 = d0 d0 on H2")
-    eq(fc[(1, 0)].after(fc[(2, 2)]), fc[(1, 1)].after(fc[(2, 0)]), "d0 d2 = d1 d0 on H2")
-    eq(fc[(1, 1)].after(fc[(2, 2)]), fc[(1, 1)].after(fc[(2, 1)]), "d1 d2 = d1 d1 on H2")
-    eq(fc[(2, 0)].after(dg[(1, 0)]), PresheafMap.identity(f.h1), "d0 s0 = id on H1")
-    eq(fc[(2, 1)].after(dg[(1, 0)]), PresheafMap.identity(f.h1), "d1 s0 = id on H1")
-    eq(fc[(2, 2)].after(dg[(1, 0)]), dg[(0, 0)].after(fc[(1, 1)]), "d2 s0 = s0 d1 on H1")
-    eq(fc[(2, 0)].after(dg[(1, 1)]), dg[(0, 0)].after(fc[(1, 0)]), "d0 s1 = s0 d0 on H1")
-    eq(fc[(2, 1)].after(dg[(1, 1)]), PresheafMap.identity(f.h1), "d1 s1 = id on H1")
-    eq(fc[(2, 2)].after(dg[(1, 1)]), PresheafMap.identity(f.h1), "d2 s1 = id on H1")
-    eq(dg[(1, 0)].after(dg[(0, 0)]), dg[(1, 1)].after(dg[(0, 0)]), "s0 s0 = s1 s0 on H0")
+        eq(_composite_is(fc[(1, i)], dg[(0, 0)]), f"d{i} s0 = id on H0")
+    eq(_same_composite(fc[(1, 0)], fc[(2, 1)], fc[(1, 0)], fc[(2, 0)]), "d0 d1 = d0 d0 on H2")
+    eq(_same_composite(fc[(1, 0)], fc[(2, 2)], fc[(1, 1)], fc[(2, 0)]), "d0 d2 = d1 d0 on H2")
+    eq(_same_composite(fc[(1, 1)], fc[(2, 2)], fc[(1, 1)], fc[(2, 1)]), "d1 d2 = d1 d1 on H2")
+    eq(_composite_is(fc[(2, 0)], dg[(1, 0)]), "d0 s0 = id on H1")
+    eq(_composite_is(fc[(2, 1)], dg[(1, 0)]), "d1 s0 = id on H1")
+    eq(_same_composite(fc[(2, 2)], dg[(1, 0)], dg[(0, 0)], fc[(1, 1)]), "d2 s0 = s0 d1 on H1")
+    eq(_same_composite(fc[(2, 0)], dg[(1, 1)], dg[(0, 0)], fc[(1, 0)]), "d0 s1 = s0 d0 on H1")
+    eq(_composite_is(fc[(2, 1)], dg[(1, 1)]), "d1 s1 = id on H1")
+    eq(_composite_is(fc[(2, 2)], dg[(1, 1)]), "d2 s1 = id on H1")
+    eq(_same_composite(dg[(1, 0)], dg[(0, 0)], dg[(1, 1)], dg[(0, 0)]), "s0 s0 = s1 s0 on H0")
 
     for (n, i), m in fc.items():
         z_lo, z_hi = f.zeta[n - 1], f.zeta[n]
@@ -232,10 +276,7 @@ def validate_family(f: SimplicialFamily):
                 out.append(f"zeta does not commute with degeneracy s_{i} on level {n} at {e!r}")
                 break
 
-    for n in (0, 1, 2):
-        for w in f.sset.level(n):
-            if f.component(n, w).is_initial():
-                out.append(f"component over {w!r} on level {n} is empty (non-emptiness assumption)")
+    out += _component_emptiness(f)
     return out
 
 
@@ -275,8 +316,8 @@ def validate_selfdual(sf: SelfDualFamily):
     if out:
         return out
 
-    def eq(a, b, name):
-        if not _maps_equal(a, b):
+    def eq(ok, name):
+        if not ok:
             out.append(f"{name} fails")
 
     for n, tau in ((1, sf.tau1), (2, sf.tau2)):
@@ -285,19 +326,22 @@ def validate_selfdual(sf: SelfDualFamily):
             if f.zeta[n].apply(p, tau.apply(p, e)) != opn(f.zeta[n].apply(p, e)):
                 out.append(f"tau_{n} does not lie over the index duality at {e!r}")
                 break
-        eq(tau.after(tau), PresheafMap.identity(f.level(n)), f"tau_{n} involutive")
+        eq(_composite_is(tau, tau), f"tau_{n} involutive")
         if not tau.is_iso():
             out.append(f"tau_{n} is not an isomorphism")
     if out:
         return out
     fc, dg = f.face, f.degen
-    eq(fc[(1, 0)].after(sf.tau1), fc[(1, 1)], "d0 tau1 = d1")
-    eq(fc[(1, 1)].after(sf.tau1), fc[(1, 0)], "d1 tau1 = d0")
+    eq(_composite_is(fc[(1, 0)], sf.tau1, fc[(1, 1)]), "d0 tau1 = d1")
+    eq(_composite_is(fc[(1, 1)], sf.tau1, fc[(1, 0)]), "d1 tau1 = d0")
     for i in (0, 1, 2):
-        eq(fc[(2, i)].after(sf.tau2), sf.tau1.after(fc[(2, 2 - i)]), f"d{i} tau2 = tau1 d{2 - i}")
-    eq(sf.tau1.after(dg[(0, 0)]), dg[(0, 0)], "tau1 s0 = s0")
-    eq(sf.tau2.after(dg[(1, 0)]), dg[(1, 1)].after(sf.tau1), "tau2 s0 = s1 tau1")
-    eq(sf.tau2.after(dg[(1, 1)]), dg[(1, 0)].after(sf.tau1), "tau2 s1 = s0 tau1")
+        eq(
+            _same_composite(fc[(2, i)], sf.tau2, sf.tau1, fc[(2, 2 - i)]),
+            f"d{i} tau2 = tau1 d{2 - i}",
+        )
+    eq(_composite_is(sf.tau1, dg[(0, 0)], dg[(0, 0)]), "tau1 s0 = s0")
+    eq(_same_composite(sf.tau2, dg[(1, 0)], dg[(1, 1)], sf.tau1), "tau2 s0 = s1 tau1")
+    eq(_same_composite(sf.tau2, dg[(1, 1)], dg[(1, 0)], sf.tau1), "tau2 s1 = s0 tau1")
     return out
 
 
@@ -319,7 +363,7 @@ def cech_simplicial_family(cover: Family) -> SelfDualFamily:
             }
             for p in base.points
         }
-        return PresheafMap(lvl, constant_presheaf(cod_labels, base), comp)
+        return PresheafMap(lvl, _constant(cod_labels, base), comp)
 
     def tupmap(dom, cod, pick):
         return PresheafMap(
@@ -377,14 +421,10 @@ def validate_simplicial_family_morphism(m: SimplicialFamilyMorphism):
                 out.append(f"zeta square fails on level {n} at {e!r}")
                 break
     for (n, i), fsrc in src.face.items():
-        lhs = m.level_map(n - 1).after(fsrc)
-        rhs = tgt.face[(n, i)].after(m.level_map(n))
-        if not _maps_equal(lhs, rhs):
+        if not _same_composite(m.level_map(n - 1), fsrc, tgt.face[(n, i)], m.level_map(n)):
             out.append(f"morphism does not commute with face d_{i} on level {n}")
     for (n, i), dsrc in src.degen.items():
-        lhs = m.level_map(n + 1).after(dsrc)
-        rhs = tgt.degen[(n, i)].after(m.level_map(n))
-        if not _maps_equal(lhs, rhs):
+        if not _same_composite(m.level_map(n + 1), dsrc, tgt.degen[(n, i)], m.level_map(n)):
             out.append(f"morphism does not commute with degeneracy s_{i} on level {n}")
     return out
 
@@ -394,9 +434,9 @@ def morphism_commutes_with_dualities(
 ):
     """Violations of h tau = tau h and alpha tau = tau alpha."""
     out = []
-    if not _maps_equal(m.h1.after(src.tau1), tgt.tau1.after(m.h1)):
+    if not _same_composite(m.h1, src.tau1, tgt.tau1, m.h1):
         out.append("h1 does not commute with tau1")
-    if not _maps_equal(m.h2.after(src.tau2), tgt.tau2.after(m.h2)):
+    if not _same_composite(m.h2, src.tau2, tgt.tau2, m.h2):
         out.append("h2 does not commute with tau2")
     for l in src.base.sset.s1:
         if m.alpha.h1[src.tau_s.op1(l)] != tgt.tau_s.op1(m.alpha.h1[l]):
@@ -442,7 +482,7 @@ def span_morphism_exists(a: ClassSpan, b: ClassSpan) -> bool:
     """Whether some map of vertices commutes with both legs (matching the
     left legs to each other and the right legs to each other)."""
     for phi in hom_enumerate(a.vertex, b.vertex):
-        if _maps_equal(b.left.after(phi), a.left) and _maps_equal(b.right.after(phi), a.right):
+        if _composite_is(b.left, phi, a.left) and _composite_is(b.right, phi, a.right):
             return True
     return False
 

@@ -14,6 +14,16 @@ distinct label (and of each distinct sub-label) once per sort, in a table
 that lives only as long as that sort; there is no process-wide cache.
 All values are immutable after construction and all operations are pure
 functions; values may be shared freely between threads.
+
+``Presheaf(...)`` and ``PresheafMap(...)`` sort and check whatever they are
+given, and so do ``constant_presheaf`` and the decoders in ``serialize``.
+Constructions whose output is correct by construction, from dicts they
+build themselves, use the private ``Presheaf._trusted`` and
+``PresheafMap._trusted`` instead, which neither sort nor check: sub-presheaves
+and component maps cut out of a presheaf keep its sorted fibers, products
+of sorted fibers come out in label order, a coproduct concatenates its
+summands' fibers in tag order, and composites of natural maps are natural.
+So each label set is sorted once, where it enters the library.
 """
 
 from __future__ import annotations
@@ -164,6 +174,15 @@ class Presheaf:
                                 f"restrictions do not compose at {r!r} >= {q!r} >= {p!r} on {e!r}"
                             )
 
+    @classmethod
+    def _trusted(cls, base, fibers, restrictions):
+        """A presheaf from fibers in ``label_key`` order without repeats,
+        keyed by ``base.points``, and natural restrictions keyed by
+        ``base.strict_pairs()`` in that order; nothing is sorted or checked."""
+        x = object.__new__(cls)
+        x.base, x.fibers, x.restrictions, x._fiber_sets = base, fibers, restrictions, {}
+        return x
+
     def fiber(self, p):
         return self.fibers[p]
 
@@ -232,6 +251,14 @@ class PresheafMap:
                 if self.cod.restrict(p, q, comp[q][e]) != comp[p][self.dom.restrict(p, q, e)]:
                     raise ValueError(f"naturality fails at {q!r} >= {p!r} on {e!r}")
 
+    @classmethod
+    def _trusted(cls, dom, cod, comp):
+        """A natural map from components that are total on ``dom``, keyed by
+        its base points in order; nothing is checked."""
+        m = object.__new__(cls)
+        m.dom, m.cod, m.comp = dom, cod, comp
+        return m
+
     def apply(self, p, e):
         return self.comp[p][e]
 
@@ -243,7 +270,7 @@ class PresheafMap:
             p: {e: self.comp[p][other.comp[p][e]] for e in other.dom.fibers[p]}
             for p in self.dom.base.points
         }
-        return PresheafMap(other.dom, self.cod, comp)
+        return PresheafMap._trusted(other.dom, self.cod, comp)
 
     def is_injective(self):
         return all(len(set(m.values())) == len(m) for m in self.comp.values())
@@ -277,10 +304,18 @@ class PresheafMap:
 def constant_presheaf(s, poset: FinPoset) -> Presheaf:
     """Constant presheaf: the same fiber everywhere, identity restrictions."""
     labels = sorted_labels(s)
-    return Presheaf(
-        base=poset,
-        fibers={p: labels for p in poset.points},
-        restrictions={pq: {e: e for e in labels} for pq in poset.strict_pairs()},
+    if poset.points and len(set(labels)) != len(labels):
+        raise ValueError(f"fiber at {poset.points[0]!r} lists an element twice")
+    return _constant(labels, poset)
+
+
+def _constant(labels, poset: FinPoset) -> Presheaf:
+    """The constant presheaf on labels already in ``label_key`` order
+    without repeats (a level of a ``TruncSSet``, say); nothing is sorted."""
+    return Presheaf._trusted(
+        poset,
+        {p: labels for p in poset.points},
+        {pq: {e: e for e in labels} for pq in poset.strict_pairs()},
     )
 
 
@@ -308,15 +343,17 @@ def product(x: Presheaf, y: Presheaf):
 
 
 def product_list(factors):
-    """Finite product with flat tuple labels; returns (presheaf, projections)."""
+    """Finite product with flat tuple labels; returns (presheaf, projections).
+
+    Tuples of labels compare factor by factor, so the product of sorted
+    fibers already comes out in ``label_key`` order."""
     if not factors:
         raise ValueError("empty product not supported, use terminal_presheaf")
     base = factors[0].base
     if any(f.base != base for f in factors):
         raise BaseMismatchError("product of presheaves over different posets")
     fibers = {
-        p: sorted_labels(itertools.product(*(f.fibers[p] for f in factors)))
-        for p in base.points
+        p: tuple(itertools.product(*(f.fibers[p] for f in factors))) for p in base.points
     }
     rest = {}
     for p, q in base.strict_pairs():
@@ -324,9 +361,9 @@ def product_list(factors):
             e: tuple(factors[k].restrict(p, q, e[k]) for k in range(len(factors)))
             for e in fibers[q]
         }
-    prod = Presheaf(base, fibers, rest)
+    prod = Presheaf._trusted(base, fibers, rest)
     projs = [
-        PresheafMap(prod, f, {p: {e: e[k] for e in fibers[p]} for p in base.points})
+        PresheafMap._trusted(prod, f, {p: {e: e[k] for e in fibers[p]} for p in base.points})
         for k, f in enumerate(factors)
     ]
     return prod, projs
@@ -351,18 +388,36 @@ def coproduct(summands, tags) -> Presheaf:
     base = summands[0].base
     if any(s.base != base for s in summands):
         raise BaseMismatchError("coproduct of presheaves over different posets")
+    if len(set(tags)) != len(tags):
+        fibers = {
+            p: [(t, e) for t, s in zip(tags, summands) for e in s.fibers[p]]
+            for p in base.points
+        }
+        return Presheaf(base, fibers, _coproduct_restrictions(base, summands, tags))
+    memo = {}
+    order = sorted(range(len(tags)), key=lambda k: label_key(tags[k], memo))
+    return _coproduct([summands[k] for k in order], [tags[k] for k in order])
+
+
+def _coproduct(summands, tags) -> Presheaf:
+    """The coproduct for distinct tags already in ``label_key`` order: a
+    pair label compares by its tag first, so concatenating the summands'
+    sorted fibers in tag order gives sorted fibers."""
+    base = summands[0].base
     fibers = {
-        p: sorted_labels((t, e) for t, s in zip(tags, summands) for e in s.fibers[p])
+        p: tuple((t, e) for t, s in zip(tags, summands) for e in s.fibers[p])
         for p in base.points
     }
-    rest = {}
-    for p, q in base.strict_pairs():
-        rest[(p, q)] = {
-            (t, e): (t, s.restrict(p, q, e))
-            for t, s in zip(tags, summands)
-            for e in s.fibers[q]
+    return Presheaf._trusted(base, fibers, _coproduct_restrictions(base, summands, tags))
+
+
+def _coproduct_restrictions(base, summands, tags):
+    return {
+        (p, q): {
+            (t, e): (t, s.restrict(p, q, e)) for t, s in zip(tags, summands) for e in s.fibers[q]
         }
-    return Presheaf(base, fibers, rest)
+        for p, q in base.strict_pairs()
+    }
 
 
 def is_epi_family(maps) -> bool:
@@ -435,12 +490,17 @@ def connected_components(x: Presheaf):
     for root in sorted(classes, key=label_key):
         members = set(classes[root])
         fibers = {p: tuple(e for e in x.fibers[p] if (p, e) in members) for p in x.base.points}
-        rest = {
-            pq: {e: x.restrictions[pq][e] for e in fibers[pq[1]]}
-            for pq in x.base.strict_pairs()
-        }
-        out.append(Presheaf(x.base, fibers, rest))
+        out.append(_sub_presheaf(x, fibers))
     return out
+
+
+def _sub_presheaf(x: Presheaf, fibers) -> Presheaf:
+    """The sub-presheaf of ``x`` on fibers cut out of its own in order and
+    closed under restriction."""
+    rest = {
+        pq: {e: x.restrictions[pq][e] for e in fibers[pq[1]]} for pq in x.base.strict_pairs()
+    }
+    return Presheaf._trusted(x.base, fibers, rest)
 
 
 def is_connected(x: Presheaf) -> bool:
@@ -610,11 +670,7 @@ def family_components(f: Family) -> dict:
             p: tuple(e for e in f.total.fibers[p] if f.zeta(p, e) == i)
             for p in f.total.base.points
         }
-        rest = {
-            pq: {e: f.total.restrictions[pq][e] for e in fibers[pq[1]]}
-            for pq in f.total.base.strict_pairs()
-        }
-        comp = Presheaf(f.total.base, fibers, rest)
+        comp = _sub_presheaf(f.total, fibers)
         if comp.is_initial():
             raise EmptyComponentError(f"component {i!r} is empty")
         comps[i] = comp

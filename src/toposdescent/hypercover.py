@@ -20,10 +20,10 @@ from .fintopos import (
     Family,
     Presheaf,
     PresheafMap,
+    _constant,
+    _coproduct,
     _hit_sets,
     _missed,
-    constant_presheaf,
-    coproduct,
     cover_is_epi,
     family_components,
     hom_enumerate,
@@ -32,7 +32,6 @@ from .fintopos import (
     pairing,
     product,
     representable,
-    sorted_labels,
 )
 from .family import ClassSpan, SelfDualFamily, SimplicialFamily, span_of_1simplex
 from .simplicial import StrictDuality, TruncSSet
@@ -50,7 +49,10 @@ class CoskData:
 
 def _triangle_limit(base, sl, st, sr) -> Presheaf:
     """Limit of the boundary of a two-storey span: compatible leg triples of
-    the three spans (anything with ``vertex``, ``left`` and ``right``)."""
+    the three spans (anything with ``vertex``, ``left`` and ``right``).
+
+    The triples are listed in the order of the vertices' sorted fibers,
+    which is their ``label_key`` order."""
     fibers = {}
     for p in base.points:
         out = []
@@ -63,7 +65,7 @@ def _triangle_limit(base, sl, st, sr) -> Presheaf:
                         p, c
                     ) == st.right.apply(p, b):
                         out.append((a, b, c))
-        fibers[p] = sorted_labels(out)
+        fibers[p] = tuple(out)
     rest = {
         (p, q): {
             (a, b, c): (
@@ -75,7 +77,7 @@ def _triangle_limit(base, sl, st, sr) -> Presheaf:
         }
         for (p, q) in base.strict_pairs()
     }
-    return Presheaf(base, fibers, rest)
+    return Presheaf._trusted(base, fibers, rest)
 
 
 def _by_pair(items, ends):
@@ -356,17 +358,17 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
         if tau_s.tau2[w] not in s2_faces:
             raise InvariantError(w)
 
+    # Each level of ``sset`` is sorted and has no repeats, so it serves as
+    # it is for the coproduct tags and for the fiber of its constant presheaf.
     h0 = cover.total
-    verts1 = [record[lab][0].vertex for lab in sset.s1]
-    h1 = coproduct(verts1, list(sset.s1))
-    apexes = [vertices[s2_faces[w][1]] for w in sset.s2]
-    if apexes:
-        h2 = coproduct(apexes, list(sset.s2))
+    h1 = _coproduct([record[lab][0].vertex for lab in sset.s1], sset.s1)
+    if sset.s2:
+        h2 = _coproduct([vertices[s2_faces[w][1]] for w in sset.s2], sset.s2)
     else:
-        h2 = constant_presheaf((), base)
+        h2 = _constant((), base)
 
     def tagmap(dom, cod, f):
-        return PresheafMap(
+        return PresheafMap._trusted(
             dom, cod, {p: {e: f(p, e) for e in dom.fibers[p]} for p in base.points}
         )
 
@@ -384,8 +386,8 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
     }
     zeta = (
         cover.struct_map,
-        tagmap(h1, constant_presheaf(sset.s1, base), lambda p, e: e[0]),
-        tagmap(h2, constant_presheaf(sset.s2, base), lambda p, e: e[0]),
+        tagmap(h1, _constant(sset.s1, base), lambda p, e: e[0]),
+        tagmap(h2, _constant(sset.s2, base), lambda p, e: e[0]),
     )
     fam = SimplicialFamily(h0, h1, h2, hface, hdegen, sset, zeta)
     tau1 = tagmap(h1, h1, lambda p, e: (tau_s.tau1[e[0]], e[1]))

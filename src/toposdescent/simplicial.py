@@ -14,7 +14,7 @@ that deliberately broken inputs can be inspected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fintopos import Family, family_components, sorted_labels
 
@@ -44,6 +44,7 @@ class TruncSSet:
     s2: tuple
     face: dict
     degen: dict
+    _level_sets: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         self.s0 = sorted_labels(self.s0)
@@ -71,6 +72,12 @@ class TruncSSet:
 
     def level(self, n):
         return (self.s0, self.s1, self.s2)[n]
+
+    def level_set(self, n):
+        """The n-simplices as a frozenset (computed once per level)."""
+        if n not in self._level_sets:
+            self._level_sets[n] = frozenset(self.level(n))
+        return self._level_sets[n]
 
 
 def validate(s: TruncSSet):

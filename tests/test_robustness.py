@@ -62,6 +62,11 @@ CLASSIFYING_SHA256 = "64d147915d476536fd2a9746229ee4be628f8962617935daed08643e93
 # and every endo pair at budget 6, in 1-simplex order.
 WORDS_SHA256 = "19f6fe6fc6523b1b434dfadbf0ef2c4c0f6af220a89b35f2ae68a05f4b7add1f"
 
+# SHA-256 of the whole zero-span refinement of the running fixture cover:
+# every simplex label in order, the H1 and H2 fibers in order, and the face,
+# degeneracy and duality tables of the index, each in simplex order.
+ZERO_SPAN_SHA256 = "8c79ef1dbe387013d514a3c8f4c1dbd47435131a70add844592de6874abe0093"
+
 # SHA-256 of each demo's stdout under PYTHONHASHSEED=0.
 DEMO_SHA256 = {
     "01_presheaves_and_nerves.py": "f7ce2ebf0863f975e9456bf666c61d951e51efed52635cea78a54c2b7216661b",
@@ -200,6 +205,32 @@ def test_word_verdicts_pinned(generated_refinements):
                 doc.append([name, kind, enc_label(l), td.word_equal(pres, w1, w2, budget).value])
     text = json.dumps(doc, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == WORDS_SHA256
+
+
+@pytest.fixture(scope="module")
+def zero_span_fixture_refinement():
+    cover = dict(generated_covers())["point-1x2"]
+    comps = td.family_components(cover)
+    return td.zero_span_refinement(cover, td.SpanClass((comps["1"], comps["2"])))
+
+
+def test_zero_span_refinement_pinned(zero_span_fixture_refinement):
+    ref = zero_span_fixture_refinement
+    f, s = ref.base, ref.base.sset
+    memo = {}
+
+    def enc(xs):
+        return [enc_label(x, memo) for x in xs]
+
+    doc = {
+        "s": [enc(s.level(n)) for n in (0, 1, 2)],
+        "h": [{enc_label(p): enc(f.level(n).fibers[p]) for p in f.h0.base.points} for n in (1, 2)],
+        "face": {f"{n},{i}": enc(s.face[(n, i)][x] for x in s.level(n)) for n, i in s.face},
+        "degen": {f"{n},{i}": enc(s.degen[(n, i)][x] for x in s.level(n)) for n, i in s.degen},
+        "tau": [enc(ref.tau_s.tau1[x] for x in s.s1), enc(ref.tau_s.tau2[x] for x in s.s2)],
+    }
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ZERO_SPAN_SHA256
 
 
 @pytest.mark.parametrize("demo", sorted(DEMO_SHA256))
