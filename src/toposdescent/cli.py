@@ -216,6 +216,9 @@ def cmd_groupoid(args):
             fam = selfdual_family_from_json(data)
         except SerializationError as exc:
             raise InputError(f"{args.family}: {exc}")
+        violations = validate_selfdual(fam)
+        if violations:
+            raise InputError(f"{args.family}: not a self-dual simplicial family: {violations[0]}")
         pres = g_fundamental_presentation(fam) if args.g else fundamental_presentation(fam.base.sset)
     report = {
         "objects": [enc_label(o) for o in pres.objects],

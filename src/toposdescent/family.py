@@ -105,11 +105,21 @@ class SimplicialFamily:
 
 
 def _component_map(f: SimplicialFamily, m: PresheafMap, n, w, k, v) -> PresheafMap:
-    """The level map ``m`` restricted to ``(H_n)_w -> (H_k)_v``."""
+    """The level map ``m`` restricted to ``(H_n)_w -> (H_k)_v``.
+
+    A natural map restricted to sub-presheaves is natural, so only where the
+    elements land is checked: when ``m`` does not lie over the index map,
+    as in a family that was never validated, some element leaves
+    ``(H_k)_v``."""
     dom, cod = f.component(n, w), f.component(k, v)
-    return PresheafMap._trusted(
-        dom, cod, {p: {e: m.comp[p][e] for e in dom.fibers[p]} for p in dom.base.points}
-    )
+    comp = {}
+    for p in dom.base.points:
+        comp[p] = c = {e: m.comp[p][e] for e in dom.fibers[p]}
+        inside = cod.fiber_set(p)
+        if not inside.issuperset(c.values()):
+            e = next(e for e, x in c.items() if x not in inside)
+            raise ValueError(f"component at {p!r} sends {e!r} outside the codomain")
+    return PresheafMap._trusted(dom, cod, comp)
 
 
 @dataclass

@@ -19,11 +19,14 @@ functions; values may be shared freely between threads.
 given, and so do ``constant_presheaf`` and the decoders in ``serialize``.
 Constructions whose output is correct by construction, from dicts they
 build themselves, use the private ``Presheaf._trusted`` and
-``PresheafMap._trusted`` instead, which neither sort nor check: sub-presheaves
-and component maps cut out of a presheaf keep its sorted fibers, products
-of sorted fibers come out in label order, a coproduct concatenates its
-summands' fibers in tag order, and composites of natural maps are natural.
-So each label set is sorted once, where it enters the library.
+``PresheafMap._trusted`` instead, which neither sort nor check:
+sub-presheaves cut out of a presheaf keep its sorted fibers, products of
+sorted fibers come out in label order, the coproduct of a refinement over
+its sorted simplices (``_coproduct``) concatenates the summands' fibers in
+tag order, and composites of natural maps are natural.  A family's
+component maps are natural whenever its level maps are, so they check only
+that each element lands in the target component.  So each label set is
+sorted once, where it enters the library.
 """
 
 from __future__ import annotations
@@ -388,15 +391,10 @@ def coproduct(summands, tags) -> Presheaf:
     base = summands[0].base
     if any(s.base != base for s in summands):
         raise BaseMismatchError("coproduct of presheaves over different posets")
-    if len(set(tags)) != len(tags):
-        fibers = {
-            p: [(t, e) for t, s in zip(tags, summands) for e in s.fibers[p]]
-            for p in base.points
-        }
-        return Presheaf(base, fibers, _coproduct_restrictions(base, summands, tags))
-    memo = {}
-    order = sorted(range(len(tags)), key=lambda k: label_key(tags[k], memo))
-    return _coproduct([summands[k] for k in order], [tags[k] for k in order])
+    fibers = {
+        p: [(t, e) for t, s in zip(tags, summands) for e in s.fibers[p]] for p in base.points
+    }
+    return Presheaf(base, fibers, _coproduct_restrictions(base, summands, tags))
 
 
 def _coproduct(summands, tags) -> Presheaf:

@@ -2,21 +2,28 @@
 
 ``Presheaf._trusted`` and ``PresheafMap._trusted`` neither sort nor check;
 the library uses them only where its output is correct by construction
-(components, component maps, coproducts, products, triangle limits,
-composites, the constant presheaves of simplex levels, the level maps of
-a refinement).  Each test rebuilds such outputs through the public
+(components, component maps, the coproducts of a refinement, products,
+triangle limits, composites, the constant presheaves of simplex levels,
+the level maps of a refinement).  Each test rebuilds such outputs through the public
 ``Presheaf(...)`` and ``PresheafMap(...)``, which must accept them and give
 the same fibers in the same order, the same restrictions and the same key.
 The public entry points must still reject bad input.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import toposdescent as td
+from toposdescent.cli import main
 from toposdescent.fintopos import _constant
 from toposdescent.hypercover import _triangle_limit
-from toposdescent.serialize import SerializationError, presheaf_from_json
+from toposdescent.serialize import (
+    SerializationError,
+    presheaf_from_json,
+    selfdual_family_to_json,
+)
 from conftest import chain2, generated_covers, point
 from test_label_memo import label_pool, scrambled_presheaf
 
@@ -180,6 +187,46 @@ def test_public_constructors_reject_non_natural_input():
         td.PresheafMap(x, x, swap)
     with pytest.raises(ValueError):
         td.PresheafMap(x, x, {**swap, "a": {"x": "z", "y": "y"}})
+
+
+def misplaced_face(cover):
+    """The Čech family of ``cover`` with its face d0 sending one element of
+    H1 into H0 over the wrong vertex. Over a point every map is natural, so
+    each map and the family itself still construct."""
+    sf = td.cech_simplicial_family(cover)
+    f = sf.base
+    d0, z0 = f.face[(1, 0)], f.zeta[0]
+    (p,) = f.h0.base.points
+    e = f.h1.fibers[p][0]
+    right = z0.apply(p, d0.apply(p, e))
+    wrong = next(x for x in f.h0.fibers[p] if z0.apply(p, x) != right)
+    comp = {p: {**d0.comp[p], e: wrong}}
+    face = {**f.face, (1, 0): td.PresheafMap(f.h1, f.h0, comp)}
+    base = td.SimplicialFamily(f.h0, f.h1, f.h2, face, f.degen, f.sset, f.zeta)
+    return td.SelfDualFamily(base, sf.tau_s, sf.tau1, sf.tau2), f.zeta[1].apply(p, e)
+
+
+def test_component_maps_reject_a_face_off_the_index(fixture_cover, tmp_path, capsys):
+    broken, l = misplaced_face(fixture_cover)
+    assert "zeta does not commute with face d_0 on level 1" in " ".join(
+        td.validate_selfdual(broken)
+    )
+    with pytest.raises(ValueError, match="outside the codomain"):
+        td.span_of_1simplex(broken.base, l)
+    with pytest.raises(ValueError, match="outside the codomain"):
+        td.cosk_data(broken.base)
+    with pytest.raises(ValueError, match="outside the codomain"):
+        td.is_hypercover(broken.base, fixture_cover)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(selfdual_family_to_json(td.cech_simplicial_family(fixture_cover))))
+    assert main(["groupoid", str(good)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(selfdual_family_to_json(broken)))
+    for flags in (["--g"], []):
+        assert main(["groupoid", str(bad), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "not a self-dual simplicial family" in err
 
 
 def test_constant_of_a_level_equals_public_constant():
