@@ -19,7 +19,7 @@ import sys
 from .covering import is_covering_projection, main1_forward, main2_equivalence
 from .descent import h_to_u, induced_h_from_s, validate_u_descent
 from .dot import presentation_dot, sset_dot
-from .errors import EmptyComponentError
+from .errors import ConditionGFailure, EmptyComponentError
 from .family import ClassSpan, condition_g, validate_selfdual
 from .groupoid import fundamental_presentation, g_fundamental_presentation
 from .hypercover import (
@@ -219,7 +219,13 @@ def cmd_groupoid(args):
         violations = validate_selfdual(fam)
         if violations:
             raise InputError(f"{args.family}: not a self-dual simplicial family: {violations[0]}")
-        pres = g_fundamental_presentation(fam) if args.g else fundamental_presentation(fam.base.sset)
+        if args.g:
+            try:
+                pres = g_fundamental_presentation(fam)
+            except ConditionGFailure as exc:
+                raise InputError(f"{args.family}: {exc}")
+        else:
+            pres = fundamental_presentation(fam.base.sset)
     report = {
         "objects": [enc_label(o) for o in pres.objects],
         "generator_count": len(pres.generators),

@@ -3,14 +3,21 @@
 Labels are strings in JSON; internal tuple labels round-trip through a
 parenthesized encoding and integer labels through a ``#`` prefix, so user
 labels must avoid ``( ) , #`` and ``|`` and ``>`` (the separators used in
-restriction and pair keys).
+restriction and pair keys).  An integer label is read only in the form
+written for it, ``#0`` or ``#-?[1-9][0-9]*``, and a label may nest tuples
+at most ``MAX_LABEL_DEPTH`` deep.
 
 Writers of whole documents (``sset_to_json``, ``selfdual_family_to_json``)
-encode each distinct tuple label once per document, through a memo that
-lives only as long as that call; there is no process-wide cache.
+encode each distinct tuple label once per document, and readers of whole
+documents decode each distinct label string once per document, each
+through a memo that lives only as long as that call; there is no
+process-wide cache.  Readers still build every value through the
+validating public constructors.
 """
 
 from __future__ import annotations
+
+import re
 
 from .fintopos import Family, FinPoset, Presheaf, PresheafMap, constant_presheaf
 from .simplicial import StrictDuality, TruncSSet
@@ -21,6 +28,9 @@ class SerializationError(ValueError):
 
 
 _FORBIDDEN = set("(),#|>")
+_ATOM = re.compile(r"[^(),]*")
+_INT = re.compile(r"#(?:0|-?[1-9][0-9]*)")
+MAX_LABEL_DEPTH = 100
 
 
 def enc_label(x, memo=None) -> str:
@@ -47,52 +57,77 @@ def enc_label(x, memo=None) -> str:
     raise SerializationError(f"unsupported label type: {type(x).__name__}")
 
 
-def dec_label(s: str):
-    out, pos = _parse_label(s, 0)
-    if pos != len(s):
-        raise SerializationError(f"trailing characters in label {s!r}")
+def dec_label(s: str, memo=None):
+    """Decode a label.  ``memo``, when given, is a caller-owned dict from
+    strings to their decoded labels: a string met again returns the label
+    decoded the first time.  Only successful decodes are stored, so a bad
+    string raises every time it is met."""
+    if memo is None:
+        return _parse_label(s)
+    out = memo.get(s) if isinstance(s, str) else None
+    if out is None:
+        out = memo[s] = _parse_label(s)
     return out
 
 
-def _parse_label(s: str, pos: int):
-    if pos >= len(s):
-        raise SerializationError(f"unexpected end of label {s!r}")
-    if s[pos] == "(":
-        pos += 1
-        parts = []
-        if pos < len(s) and s[pos] == ")":
-            return (), pos + 1
-        while True:
-            part, pos = _parse_label(s, pos)
-            parts.append(part)
-            if pos >= len(s):
-                raise SerializationError(f"unterminated tuple in label {s!r}")
-            if s[pos] == ",":
+def _parse_label(s: str):
+    """Scan ``s`` left to right with an explicit stack of open tuples; the
+    first fault met decides the error."""
+    if not isinstance(s, str):
+        raise SerializationError(f"label must be a string, not {type(s).__name__}")
+    n = len(s)
+    stack = []
+    pos = 0
+    while True:
+        # read an atom or an empty tuple into ``value``, or open a tuple
+        if pos >= n:
+            raise SerializationError(f"unexpected end of label {s!r}")
+        if s[pos] == "(":
+            if len(stack) == MAX_LABEL_DEPTH:
+                raise SerializationError(
+                    f"label {s[:20]!r}... nests tuples deeper than {MAX_LABEL_DEPTH} levels"
+                )
+            pos += 1
+            if pos < n and s[pos] == ")":
+                value = ()
                 pos += 1
+            else:
+                stack.append([])
                 continue
-            if s[pos] == ")":
-                return tuple(parts), pos + 1
-            raise SerializationError(f"malformed tuple in label {s!r}")
-    start = pos
-    while pos < len(s) and s[pos] not in ",()":
-        pos += 1
-    atom = s[start:pos]
-    if atom.startswith("#"):
-        try:
-            return int(atom[1:]), pos
-        except ValueError as exc:
-            raise SerializationError(f"malformed integer label {atom!r}") from exc
-    if not atom:
-        raise SerializationError(f"empty atom in label {s!r}")
-    return atom, pos
+        else:
+            end = _ATOM.match(s, pos).end()
+            if end == pos:
+                raise SerializationError(f"empty atom in label {s!r}")
+            value = s[pos:end]
+            pos = end
+            if value[0] == "#":
+                if not _INT.fullmatch(value):
+                    raise SerializationError(f"malformed integer label {value!r}")
+                value = int(value[1:])
+        # add ``value`` to the innermost open tuple, closing tuples at ")"
+        while True:
+            if not stack:
+                if pos != n:
+                    raise SerializationError(f"trailing characters in label {s!r}")
+                return value
+            stack[-1].append(value)
+            if pos >= n:
+                raise SerializationError(f"unterminated tuple in label {s!r}")
+            c = s[pos]
+            pos += 1
+            if c == ",":
+                break
+            if c != ")":
+                raise SerializationError(f"malformed tuple in label {s!r}")
+            value = tuple(stack.pop())
 
 
 def _enc_map(m: dict, memo=None) -> dict:
     return {enc_label(k, memo): enc_label(v, memo) for k, v in m.items()}
 
 
-def _dec_map(d: dict) -> dict:
-    return {dec_label(k): dec_label(v) for k, v in d.items()}
+def _dec_map(d: dict, memo=None) -> dict:
+    return {dec_label(k, memo): dec_label(v, memo) for k, v in d.items()}
 
 
 def poset_to_json(p: FinPoset) -> dict:
@@ -102,11 +137,11 @@ def poset_to_json(p: FinPoset) -> dict:
     }
 
 
-def poset_from_json(d: dict) -> FinPoset:
+def poset_from_json(d: dict, memo=None) -> FinPoset:
     try:
         return FinPoset.from_pairs(
-            [dec_label(x) for x in d["points"]],
-            [(dec_label(a), dec_label(b)) for a, b in d.get("leq", [])],
+            [dec_label(x, memo) for x in d["points"]],
+            [(dec_label(a, memo), dec_label(b, memo)) for a, b in d.get("leq", [])],
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"bad poset: {exc}") from exc
@@ -124,15 +159,17 @@ def presheaf_to_json(x: Presheaf, memo=None) -> dict:
     }
 
 
-def presheaf_from_json(d: dict, poset: FinPoset) -> Presheaf:
+def presheaf_from_json(d: dict, poset: FinPoset, memo=None) -> Presheaf:
     try:
-        fibers = {dec_label(p): tuple(dec_label(e) for e in es) for p, es in d["fibers"].items()}
+        fibers = {
+            dec_label(p, memo): tuple(dec_label(e, memo) for e in es) for p, es in d["fibers"].items()
+        }
         rest = {}
         for key, m in d.get("restrictions", {}).items():
             q, _, p = key.partition(">")
             if not p:
                 raise SerializationError(f"restriction key {key!r} is not of the form 'q>p'")
-            rest[(dec_label(p), dec_label(q))] = _dec_map(m)
+            rest[(dec_label(p, memo), dec_label(q, memo))] = _dec_map(m, memo)
         return Presheaf(poset, fibers, rest)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"bad presheaf: {exc}") from exc
@@ -151,13 +188,12 @@ def family_to_json(f: Family) -> dict:
 
 
 def family_from_json(d: dict) -> Family:
+    memo = {}
     try:
-        poset = poset_from_json(d["poset"])
-        total = presheaf_from_json(d["total"], poset)
-        index = tuple(dec_label(i) for i in d["index"])
-        zeta = {
-            dec_label(p): _dec_map(m) for p, m in d["zeta"].items()
-        }
+        poset = poset_from_json(d["poset"], memo)
+        total = presheaf_from_json(d["total"], poset, memo)
+        index = tuple(dec_label(i, memo) for i in d["index"])
+        zeta = {dec_label(p, memo): _dec_map(m, memo) for p, m in d["zeta"].items()}
         struct = PresheafMap(total, constant_presheaf(index, poset), zeta)
         return Family(total, index, struct)
     except SerializationError:
@@ -188,28 +224,30 @@ def sset_to_json(s: TruncSSet, tau: StrictDuality = None, memo=None) -> dict:
     return out
 
 
-def sset_from_json(d: dict):
+def sset_from_json(d: dict, memo=None):
+    if memo is None:
+        memo = {}
     try:
         sset = TruncSSet(
-            tuple(dec_label(x) for x in d["S0"]),
-            tuple(dec_label(x) for x in d["S1"]),
-            tuple(dec_label(x) for x in d["S2"]),
+            tuple(dec_label(x, memo) for x in d["S0"]),
+            tuple(dec_label(x, memo) for x in d["S1"]),
+            tuple(dec_label(x, memo) for x in d["S2"]),
             {
-                (1, 0): _dec_map(d["d"]["1"][0]),
-                (1, 1): _dec_map(d["d"]["1"][1]),
-                (2, 0): _dec_map(d["d"]["2"][0]),
-                (2, 1): _dec_map(d["d"]["2"][1]),
-                (2, 2): _dec_map(d["d"]["2"][2]),
+                (1, 0): _dec_map(d["d"]["1"][0], memo),
+                (1, 1): _dec_map(d["d"]["1"][1], memo),
+                (2, 0): _dec_map(d["d"]["2"][0], memo),
+                (2, 1): _dec_map(d["d"]["2"][1], memo),
+                (2, 2): _dec_map(d["d"]["2"][2], memo),
             },
             {
-                (0, 0): _dec_map(d["s"]["0"][0]),
-                (1, 0): _dec_map(d["s"]["1"][0]),
-                (1, 1): _dec_map(d["s"]["1"][1]),
+                (0, 0): _dec_map(d["s"]["0"][0], memo),
+                (1, 0): _dec_map(d["s"]["1"][0], memo),
+                (1, 1): _dec_map(d["s"]["1"][1], memo),
             },
         )
         tau = None
         if "tau" in d:
-            tau = StrictDuality(_dec_map(d["tau"]["1"]), _dec_map(d["tau"]["2"]))
+            tau = StrictDuality(_dec_map(d["tau"]["1"], memo), _dec_map(d["tau"]["2"], memo))
         return sset, tau
     except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:
         raise SerializationError(f"bad simplicial set: {exc}") from exc
@@ -226,13 +264,18 @@ def sdescent_to_json(d) -> dict:
     }
 
 
+def _dec_carriers(d: dict, memo) -> dict:
+    return {dec_label(i, memo): tuple(dec_label(r, memo) for r in rs) for i, rs in d.items()}
+
+
 def sdescent_from_json(d: dict):
     from .descent import SDescentDatum
 
+    memo = {}
     try:
         return SDescentDatum(
-            carrier={dec_label(i): tuple(dec_label(r) for r in rs) for i, rs in d["carriers"].items()},
-            s={dec_label(l): _dec_map(m) for l, m in d["s"].items()},
+            carrier=_dec_carriers(d["carriers"], memo),
+            s={dec_label(l, memo): _dec_map(m, memo) for l, m in d["s"].items()},
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"bad descent datum: {exc}") from exc
@@ -254,13 +297,16 @@ def udescent_to_json(u) -> dict:
 def udescent_from_json(d: dict, cover: Family):
     from .descent import UDescentDatum
 
+    memo = {}
     try:
         return UDescentDatum(
             cover=cover,
-            carrier={dec_label(i): tuple(dec_label(r) for r in rs) for i, rs in d["carriers"].items()},
+            carrier=_dec_carriers(d["carriers"], memo),
             sigma={
-                dec_label(pair): {
-                    dec_label(p): {dec_label(xy): _dec_map(m) for xy, m in table.items()}
+                dec_label(pair, memo): {
+                    dec_label(p, memo): {
+                        dec_label(xy, memo): _dec_map(m, memo) for xy, m in table.items()
+                    }
                     for p, table in tables.items()
                 }
                 for pair, tables in d["sigma"].items()
@@ -291,15 +337,16 @@ def selfdual_family_to_json(sf) -> dict:
 def selfdual_family_from_json(d: dict):
     from .family import SelfDualFamily, SimplicialFamily
 
+    memo = {}
     try:
-        poset = poset_from_json(d["poset"])
-        sset, tau_s = sset_from_json(d["sset"])
+        poset = poset_from_json(d["poset"], memo)
+        sset, tau_s = sset_from_json(d["sset"], memo)
         if tau_s is None:
             raise SerializationError("family JSON lacks the index duality")
-        levels = {n: presheaf_from_json(d["levels"][str(n)], poset) for n in (0, 1, 2)}
+        levels = {n: presheaf_from_json(d["levels"][str(n)], poset, memo) for n in (0, 1, 2)}
 
         def dec_comp(raw):
-            return {dec_label(p): _dec_map(m) for p, m in raw.items()}
+            return {dec_label(p, memo): _dec_map(m, memo) for p, m in raw.items()}
 
         face = {}
         for key, raw in d["faces"].items():
@@ -337,10 +384,11 @@ def action_to_json(a) -> dict:
 def action_from_json(d: dict):
     from .groupoid import GroupoidAction
 
+    memo = {}
     try:
         return GroupoidAction(
-            carrier={dec_label(i): tuple(dec_label(r) for r in rs) for i, rs in d["carriers"].items()},
-            gen_action={dec_label(g): _dec_map(m) for g, m in d["actions"].items()},
+            carrier=_dec_carriers(d["carriers"], memo),
+            gen_action={dec_label(g, memo): _dec_map(m, memo) for g, m in d["actions"].items()},
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"bad action: {exc}") from exc
@@ -363,13 +411,14 @@ def hdescent_to_json(d) -> dict:
 def hdescent_from_json(d: dict, family):
     from .descent import HDescentDatum
 
+    memo = {}
     try:
         return HDescentDatum(
             family=family,
-            carrier={dec_label(i): tuple(dec_label(r) for r in rs) for i, rs in d["carriers"].items()},
+            carrier=_dec_carriers(d["carriers"], memo),
             sigma_hat={
-                dec_label(l): {
-                    dec_label(p): {dec_label(e): _dec_map(m) for e, m in table.items()}
+                dec_label(l, memo): {
+                    dec_label(p, memo): {dec_label(e, memo): _dec_map(m, memo) for e, m in table.items()}
                     for p, table in tables.items()
                 }
                 for l, tables in d["sigma_hat"].items()

@@ -6,15 +6,18 @@ the face and degeneracy maps between them.  A 1-simplex ``l`` runs from
 edge is ``d(2,1,w)`` and whose short edges are ``d(2,2,w)`` then
 ``d(2,0,w)``.
 
-Constructors only check that the structure maps are total functions into
-the right sets; the simplicial identities themselves are checked by
-:func:`validate`, which reports violations as data instead of raising, so
-that deliberately broken inputs can be inspected.
+Constructors only check that no level lists a simplex twice and that the
+structure maps are total functions into the right sets; the simplicial
+identities themselves are checked by :func:`validate`, which reports
+violations as data instead of raising, so that deliberately broken inputs
+can be inspected.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .fintopos import Family, family_components, sorted_labels
 
@@ -51,6 +54,9 @@ class TruncSSet:
         self.s1 = sorted_labels(self.s1)
         self.s2 = sorted_labels(self.s2)
         levels = {0: self.s0, 1: self.s1, 2: self.s2}
+        for n, level in levels.items():
+            if any(map(operator.eq, level, islice(level, 1, None))):
+                raise ValueError(f"level {n} lists a simplex twice")
         if set(self.face) != set(FACE_KEYS):
             raise ValueError("face maps must be given for keys (1,0),(1,1),(2,0),(2,1),(2,2)")
         if set(self.degen) != set(DEGEN_KEYS):

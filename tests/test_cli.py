@@ -276,3 +276,45 @@ def test_groupoid_empty_sset(tmp_path, capsys):
     assert main(["groupoid", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["objects"] == [] and report["generator_count"] == 0
+
+
+def test_groupoid_g_on_family_failing_the_filling_condition(tmp_path, fixture_cover, capsys):
+    from toposdescent.serialize import selfdual_family_to_json
+
+    fam = td.cech_simplicial_family(fixture_cover)
+    assert td.validate_selfdual(fam) == [] and not td.condition_g(fam)
+    path = tmp_path / "cech.json"
+    path.write_text(json.dumps(selfdual_family_to_json(fam)))
+    assert main(["groupoid", str(path), "--g"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "filling condition" in err
+    assert main(["groupoid", str(path)]) == 0
+
+
+def _point_sset_json(s0):
+    return {
+        "S0": s0,
+        "S1": ["l"],
+        "S2": ["w"],
+        "d": {"1": [{"l": "x"}, {"l": "x"}], "2": [{"w": "l"}] * 3},
+        "s": {"0": [{"x": "l"}], "1": [{"l": "w"}, {"l": "w"}]},
+    }
+
+
+@pytest.mark.parametrize(
+    "s0, message",
+    [
+        (["x", "x"], "level 0 lists a simplex twice"),
+        (["x", "(" * 3000 + "a" + ")" * 3000], "nests tuples deeper"),
+        (["x", "#01"], "malformed integer label"),
+    ],
+)
+def test_groupoid_rejects_bad_sset(tmp_path, capsys, s0, message):
+    path = tmp_path / "sset.json"
+    path.write_text(json.dumps(_point_sset_json(["x"])))
+    assert main(["groupoid", str(path)]) == 0
+    capsys.readouterr()
+    path.write_text(json.dumps(_point_sset_json(s0)))
+    assert main(["groupoid", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: bad simplicial set: ") and message in err

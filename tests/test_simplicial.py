@@ -138,3 +138,30 @@ def test_nerve_terminal_for_single_index(singleton_cover):
     assert nerve.s0 == ("1",)
     assert nerve.s1 == (("1", "1"),)
     assert nerve.s2 == (("1", "1", "1"),)
+
+
+def _point_maps():
+    face = {(1, 0): {"l": "x"}, (1, 1): {"l": "x"}}
+    face.update({(2, i): {"w": "l"} for i in range(3)})
+    degen = {(0, 0): {"x": "l"}, (1, 0): {"l": "w"}, (1, 1): {"l": "w"}}
+    return face, degen
+
+
+def test_repeated_simplex_is_rejected():
+    face, degen = _point_maps()
+    assert td.validate(td.TruncSSet(("x",), ("l",), ("w",), face, degen)) == []
+    with pytest.raises(ValueError, match="level 0 lists a simplex twice"):
+        td.TruncSSet(("x", "x"), ("l",), ("w",), face, degen)
+    with pytest.raises(ValueError, match="level 2 lists a simplex twice"):
+        td.TruncSSet(("x",), ("l",), ("w", "w"), face, degen)
+
+
+def test_repeated_simplex_in_json_is_rejected():
+    from toposdescent.serialize import SerializationError, sset_from_json, sset_to_json
+
+    face, degen = _point_maps()
+    doc = sset_to_json(td.TruncSSet(("x",), ("l",), ("w",), face, degen))
+    assert sset_from_json(doc)[0].s0 == ("x",)
+    doc["S1"].append("l")
+    with pytest.raises(SerializationError, match="level 1 lists a simplex twice"):
+        sset_from_json(doc)
