@@ -62,9 +62,11 @@ def dec_label(s: str, memo=None):
     strings to their decoded labels: a string met again returns the label
     decoded the first time.  Only successful decodes are stored, so a bad
     string raises every time it is met."""
+    if not isinstance(s, str):
+        raise SerializationError(f"label must be a string, not {type(s).__name__}")
     if memo is None:
         return _parse_label(s)
-    out = memo.get(s) if isinstance(s, str) else None
+    out = memo.get(s)
     if out is None:
         out = memo[s] = _parse_label(s)
     return out
@@ -73,8 +75,6 @@ def dec_label(s: str, memo=None):
 def _parse_label(s: str):
     """Scan ``s`` left to right with an explicit stack of open tuples; the
     first fault met decides the error."""
-    if not isinstance(s, str):
-        raise SerializationError(f"label must be a string, not {type(s).__name__}")
     n = len(s)
     stack = []
     pos = 0

@@ -9,6 +9,7 @@ integer labels not in the form ``enc_label`` writes, and tuples nested
 deeper than ``MAX_LABEL_DEPTH``.
 """
 
+import itertools
 import re
 
 import pytest
@@ -164,6 +165,11 @@ def test_malformed_strings_raise_the_same_errors(s):
         assert outcome(dec_label, s)[0] == "error"
     else:
         assert_agrees([s])
+
+
+def test_every_short_string_decodes_like_the_recursive_parser():
+    strings = ["".join(t) for n in range(6) for t in itertools.product("(),#-0a", repeat=n)]
+    assert_agrees([s for s in strings if not newly_rejected(s)])
 
 
 @pytest.mark.parametrize(
