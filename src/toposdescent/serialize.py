@@ -162,7 +162,8 @@ def presheaf_to_json(x: Presheaf, memo=None) -> dict:
 def presheaf_from_json(d: dict, poset: FinPoset, memo=None) -> Presheaf:
     try:
         fibers = {
-            dec_label(p, memo): tuple(dec_label(e, memo) for e in es) for p, es in d["fibers"].items()
+            dec_label(p, memo): tuple(dec_label(e, memo) for e in es)
+            for p, es in d["fibers"].items()
         }
         rest = {}
         for key, m in d.get("restrictions", {}).items():
@@ -418,7 +419,9 @@ def hdescent_from_json(d: dict, family):
             carrier=_dec_carriers(d["carriers"], memo),
             sigma_hat={
                 dec_label(l, memo): {
-                    dec_label(p, memo): {dec_label(e, memo): _dec_map(m, memo) for e, m in table.items()}
+                    dec_label(p, memo): {
+                        dec_label(e, memo): _dec_map(m, memo) for e, m in table.items()
+                    }
                     for p, table in tables.items()
                 }
                 for l, tables in d["sigma_hat"].items()
