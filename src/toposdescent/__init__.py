@@ -59,7 +59,6 @@ from .family import (
     SelfDualFamily,
     SimplicialFamily,
     SimplicialFamilyMorphism,
-    Span2,
     cech_simplicial_family,
     condition_g,
     counit,
@@ -67,7 +66,6 @@ from .family import (
     span_morphism_exists,
     span_morphism_pairs,
     span_of_1simplex,
-    span_of_2simplex,
     validate_family,
     validate_selfdual,
     validate_simplicial_family_morphism,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BaseMismatchError, EmptyComponentError
+from .errors import BaseMismatchError
 from .fintopos import (
     Family,
     Presheaf,
@@ -31,6 +31,7 @@ from .simplicial import (
     SimplicialMap,
     StrictDuality,
     TruncSSet,
+    _duality_violations,
     cech_nerve,
     validate,
     validate_simplicial_map,
@@ -82,12 +83,14 @@ class SimplicialFamily:
         """
         key = (n, w)
         if key not in self._derived:
-            lvl, z = self.level(n), self.zeta[n]
-            fibers = {v: {p: [] for p in lvl.base.points} for v in self.sset.level(n)}
+            lvl, simplices = self.level(n), self.sset.level(n)
+            pos = self.sset.positions().pos[n]
+            fibers = [{p: [] for p in lvl.base.points} for _ in simplices]
             for p in lvl.base.points:
+                z = self.zeta[n].comp[p]
                 for e in lvl.fibers[p]:
-                    fibers[z.apply(p, e)][p].append(e)
-            for v, fib in fibers.items():
+                    fibers[pos[z[e]]][p].append(e)
+            for v, fib in zip(simplices, fibers):
                 self._derived[(n, v)] = _sub_presheaf(
                     lvl, {p: tuple(es) for p, es in fib.items()}
                 )
@@ -144,60 +147,11 @@ class ClassSpan:
         return ClassSpan(self.j, self.i, self.vertex, self.right, self.left)
 
 
-@dataclass
-class Span2:
-    """A two-storey span: an apex over three boundary spans with commuting
-    legs, plus the three composite maps to the feet."""
-
-    apex: Presheaf
-    to_left: PresheafMap
-    to_middle: PresheafMap
-    to_right: PresheafMap
-    left_span: ClassSpan
-    middle_span: ClassSpan
-    right_span: ClassSpan
-    p2: PresheafMap
-    p1: PresheafMap
-    p0: PresheafMap
-
-    def __post_init__(self):
-        if self.apex.is_initial():
-            raise EmptyComponentError("span apex is initial")
-        checks = (
-            (self.left_span.left.after(self.to_left), self.middle_span.left.after(self.to_middle)),
-            (self.left_span.right.after(self.to_left), self.right_span.left.after(self.to_right)),
-            (self.middle_span.right.after(self.to_middle), self.right_span.right.after(self.to_right)),
-        )
-        for got, other in checks:
-            if got != other:
-                raise ValueError("two-storey span does not commute")
-
-
 def span_of_1simplex(f: SimplicialFamily, l) -> ClassSpan:
-    if l not in f.sset.level_set(1):
+    if l not in f.sset.positions().pos[1]:
         raise ValueError(f"{l!r} is not a 1-simplex of the index")
     i, j = f.sset.endpoints(l)
     return ClassSpan(i, j, f.component(1, l), f.component_face(1, 1, l), f.component_face(1, 0, l))
-
-
-def span_of_2simplex(f: SimplicialFamily, w) -> Span2:
-    if w not in f.sset.level_set(2):
-        raise ValueError(f"{w!r} is not a 2-simplex of the index")
-    l, t, r = f.sset.d(2, 2, w), f.sset.d(2, 1, w), f.sset.d(2, 0, w)
-    d2, d1, d0 = (f.component_face(2, i, w) for i in (2, 1, 0))
-    sl, st, sr = (span_of_1simplex(f, x) for x in (l, t, r))
-    return Span2(
-        apex=f.component(2, w),
-        to_left=d2,
-        to_middle=d1,
-        to_right=d0,
-        left_span=sl,
-        middle_span=st,
-        right_span=sr,
-        p2=sl.left.after(d2),
-        p1=sl.right.after(d2),
-        p0=sr.right.after(d0),
-    )
 
 
 def _composable(a: PresheafMap, b: PresheafMap):
@@ -237,22 +191,52 @@ def _composite_is(a: PresheafMap, b: PresheafMap, c: PresheafMap = None) -> bool
     return True
 
 
-def _component_emptiness(f: SimplicialFamily):
+def _zeta_positions(f: SimplicialFamily, n):
+    """Per point, each element of level ``n`` (in fiber order) with the
+    position of the n-simplex that ``zeta_n`` puts it over."""
+    pos = f.sset.positions().pos[n]
+    out = {}
+    for p in f.h0.base.points:
+        fiber, z = f.level(n).fibers[p], f.zeta[n].comp[p]
+        out[p] = dict(zip(fiber, map(pos.__getitem__, map(z.__getitem__, fiber))))
+    return out
+
+
+def _first_off(zp, n, m, k, table):
+    """The first element ``e`` of level ``n``, in the order of the points
+    and fibers, whose image under ``m`` (into level ``k``) does not lie
+    over ``table[position of e's simplex]``; ``zp`` is ``_zeta_positions``
+    per level."""
+    for p, here in zp[n].items():
+        got = list(map(zp[k][p].__getitem__, map(m.comp[p].__getitem__, here)))
+        want = list(map(table.__getitem__, here.values()))
+        if got != want:
+            return next(e for e, a, b in zip(here, got, want) if a != b)
+    return None
+
+
+def _component_emptiness(f: SimplicialFamily, zp):
     """A message per index simplex that no element of its level lies over,
-    read off the images of the zeta maps."""
+    read off the positions of the zeta images."""
     out = []
     for n in (0, 1, 2):
         hit = set()
-        for m in f.zeta[n].comp.values():
-            hit.update(m.values())
-        for w in f.sset.level(n):
-            if w not in hit:
+        for here in zp[n].values():
+            hit.update(here.values())
+        for k, w in enumerate(f.sset.level(n)):
+            if k not in hit:
                 out.append(f"component over {w!r} on level {n} is empty (non-emptiness assumption)")
     return out
 
 
 def validate_family(f: SimplicialFamily):
     """All simplicial-family laws; empty iff the family is valid."""
+    return _family_violations(f)[0]
+
+
+def _family_violations(f: SimplicialFamily):
+    """The messages of ``validate_family`` and ``_zeta_positions`` of each
+    level."""
     out = [f"index simplicial set: {v}" for v in validate(f.sset)]
 
     def eq(ok, name):
@@ -273,21 +257,19 @@ def validate_family(f: SimplicialFamily):
     eq(_composite_is(fc[(2, 2)], dg[(1, 1)]), "d2 s1 = id on H1")
     eq(_same_composite(dg[(1, 0)], dg[(0, 0)], dg[(1, 1)], dg[(0, 0)]), "s0 s0 = s1 s0 on H0")
 
+    ix = f.sset.positions()
+    zp = [_zeta_positions(f, n) for n in (0, 1, 2)]
     for (n, i), m in fc.items():
-        z_lo, z_hi = f.zeta[n - 1], f.zeta[n]
-        for p, e in f.level(n).elements():
-            if z_lo.apply(p, m.apply(p, e)) != f.sset.d(n, i, z_hi.apply(p, e)):
-                out.append(f"zeta does not commute with face d_{i} on level {n} at {e!r}")
-                break
+        e = _first_off(zp, n, m, n - 1, ix.face[(n, i)])
+        if e is not None:
+            out.append(f"zeta does not commute with face d_{i} on level {n} at {e!r}")
     for (n, i), m in dg.items():
-        z_lo, z_hi = f.zeta[n], f.zeta[n + 1]
-        for p, e in f.level(n).elements():
-            if z_hi.apply(p, m.apply(p, e)) != f.sset.deg(n, i, z_lo.apply(p, e)):
-                out.append(f"zeta does not commute with degeneracy s_{i} on level {n} at {e!r}")
-                break
+        e = _first_off(zp, n, m, n + 1, ix.degen[(n, i)])
+        if e is not None:
+            out.append(f"zeta does not commute with degeneracy s_{i} on level {n} at {e!r}")
 
-    out += _component_emptiness(f)
-    return out
+    out += _component_emptiness(f, zp)
+    return out, zp
 
 
 @dataclass
@@ -318,11 +300,10 @@ def validate_selfdual(sf: SelfDualFamily):
     """All self-dual family laws: base validity, duality validity, zeta
     compatibility, involutivity, and the contravariant exchange of faces
     and degeneracies (the span of ``w^op`` is the dual span of ``w``)."""
-    from .simplicial import validate_duality
-
     f = sf.base
-    out = validate_family(f)
-    out += [f"index duality: {v}" for v in validate_duality(f.sset, sf.tau_s)]
+    out, zp = _family_violations(f)
+    bad, ops = _duality_violations(f.sset, sf.tau_s)
+    out += [f"index duality: {v}" for v in bad]
     if out:
         return out
 
@@ -331,13 +312,14 @@ def validate_selfdual(sf: SelfDualFamily):
             out.append(f"{name} fails")
 
     for n, tau in ((1, sf.tau1), (2, sf.tau2)):
-        opn = (None, sf.tau_s.op1, sf.tau_s.op2)[n]
-        for p, e in f.level(n).elements():
-            if f.zeta[n].apply(p, tau.apply(p, e)) != opn(f.zeta[n].apply(p, e)):
-                out.append(f"tau_{n} does not lie over the index duality at {e!r}")
-                break
-        eq(_composite_is(tau, tau), f"tau_{n} involutive")
-        if not tau.is_iso():
+        e = _first_off(zp, n, tau, n, ops[n - 1])
+        if e is not None:
+            out.append(f"tau_{n} does not lie over the index duality at {e!r}")
+        # an involution is an isomorphism, so only a map that is not one
+        # can fail to be invertible
+        involutive = _composite_is(tau, tau)
+        eq(involutive, f"tau_{n} involutive")
+        if not involutive and not tau.is_iso():
             out.append(f"tau_{n} is not an isomorphism")
     if out:
         return out
@@ -519,14 +501,15 @@ def condition_g(sf: SelfDualFamily) -> bool:
     edges ``l`` and ``l^op`` whose long edge has equal face legs."""
     f = sf.base
     s = f.sset
+    ix = s.positions()
     d1, d0 = f.face[(1, 1)], f.face[(1, 0)]
     by_faces = {}
-    for w in s.s2:
-        by_faces.setdefault((s.d(2, 2, w), s.d(2, 0, w)), []).append(w)
-    for l in s.s1:
+    for k, ends in enumerate(zip(ix.face[(2, 2)], ix.face[(2, 0)])):
+        by_faces.setdefault(ends, []).append(k)
+    for k, l in enumerate(s.s1):
         found = False
-        for w in by_faces.get((l, sf.tau_s.op1(l)), ()):
-            mid = f.component(1, s.d(2, 1, w))
+        for w in by_faces.get((k, ix.pos[1].get(sf.tau_s.op1(l))), ()):
+            mid = f.component(1, s.s1[ix.face[(2, 1)][w]])
             if all(d1.apply(p, e) == d0.apply(p, e) for p, e in mid.elements()):
                 found = True
                 break

@@ -26,7 +26,10 @@ its sorted simplices (``_coproduct``) concatenates the summands' fibers in
 tag order, and composites of natural maps are natural.  A family's
 component maps are natural whenever its level maps are, so they check only
 that each element lands in the target component.  So each label set is
-sorted once, where it enters the library.
+sorted at most once, where it enters the library; the refinement builder
+emits its 2-simplices already in label order and sorts only its
+1-simplices (see ``simplicial`` for ``TruncSSet._trusted`` and the
+positional view of a simplicial set).
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
+from itertools import islice
 from dataclasses import dataclass
 
 from .errors import ClosureError, EmptyComponentError, InvariantError
@@ -32,6 +33,7 @@ from .fintopos import (
     pairing,
     product,
     representable,
+    sorted_labels,
 )
 from .family import ClassSpan, SelfDualFamily, SimplicialFamily, span_of_1simplex
 from .simplicial import StrictDuality, TruncSSet
@@ -91,10 +93,14 @@ def _by_pair(items, ends):
 def _composable_triples(by_pair, index):
     """Triangle boundaries ``(l, t, r)``: ``l`` over ``(i, j)``, ``t`` over
     ``(i, k)`` and ``r`` over ``(j, k)``, for ``i, j, k`` in ``index`` and
-    1-simplices or spans grouped by endpoint pair."""
+    1-simplices or spans grouped by endpoint pair.
+
+    The triples come in the order of ``l``, then ``t``, then ``r``: label
+    order, when ``index`` and the lists of ``by_pair`` are in label order
+    and the labels start with their endpoint pair."""
     for i, j in itertools.product(index, repeat=2):
-        for k in index:
-            for l in by_pair.get((i, j), ()):
+        for l in by_pair.get((i, j), ()):
+            for k in index:
                 for t in by_pair.get((i, k), ()):
                     for r in by_pair.get((j, k), ()):
                         yield l, t, r
@@ -116,11 +122,13 @@ def cosk_data(f: SimplicialFamily) -> CoskData:
     spans = {l: span_of_1simplex(f, l) for l in f.sset.s1}
     t2, triple_limit = [], {}
     by_pair = _by_pair(f.sset.s1, f.sset.endpoints)
-    for l, t, r in _composable_triples(by_pair, f.sset.s0):
-        lim = _triangle_limit(base, spans[l], spans[t], spans[r])
-        if not lim.is_initial():
-            t2.append((l, t, r))
-            triple_limit[(l, t, r)] = lim
+    for i, j, k in itertools.product(f.sset.s0, repeat=3):
+        ends = (by_pair.get((i, j), ()), by_pair.get((i, k), ()), by_pair.get((j, k), ()))
+        for l, t, r in itertools.product(*ends):
+            lim = _triangle_limit(base, spans[l], spans[t], spans[r])
+            if not lim.is_initial():
+                t2.append((l, t, r))
+                triple_limit[(l, t, r)] = lim
     return CoskData(pairs, pair_limit, tuple(t2), triple_limit)
 
 
@@ -130,17 +138,22 @@ def _uncovered(f: SimplicialFamily, n, limits) -> dict:
     The faces of an element over ``w`` are its point in the limit over the
     boundary of ``w``; a point outside that limit raises ``ValueError``.
     """
-    faces = [f.face[(n, k)] for k in range(n, -1, -1)]
-    boundary = {w: tuple(f.sset.d(n, k, w) for k in range(n, -1, -1)) for w in f.sset.level(n)}
+    ix, lower = f.sset.positions(), f.sset.level(n - 1)
+    ks = range(n, -1, -1)
+    faces = [f.face[(n, k)] for k in ks]
+    # the boundary of each n-simplex, by position, and its limit
+    boundary = list(zip(*(map(lower.__getitem__, ix.face[(n, k)]) for k in ks)))
+    lims = [limits.get(key) for key in boundary]
     hit = defaultdict(lambda: defaultdict(set))
     for p in f.h0.base.points:
         faces_at_p = [d.comp[p] for d in faces]
+        z, pos = f.zeta[n].comp[p], ix.pos[n]
         for e in f.level(n).fibers[p]:
-            key = boundary[f.zeta[n].apply(p, e)]
+            w = pos[z[e]]
             point = tuple([m[e] for m in faces_at_p])
-            if key not in limits or point not in limits[key].fiber_set(p):
-                raise ValueError(f"faces of {e!r} at {p!r} lie outside the limit over {key!r}")
-            hit[key][p].add(point)
+            if lims[w] is None or point not in lims[w].fiber_set(p):
+                raise ValueError(f"faces of {e!r} at {p!r} lie outside the limit over {boundary[w]!r}")
+            hit[boundary[w]][p].add(point)
     return {key: _missed(lim, hit.get(key, {})) for key, lim in limits.items()}
 
 
@@ -267,7 +280,7 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
         lab = ("sp", s.i, s.j, ci, uord[s.left.key()], vord[s.right.key()])
         span_label[s.data_key()] = lab
         record[lab] = (s, ci)
-    s1 = tuple(record)
+    s1 = sorted_labels(record)
 
     ident_lab = {}
     for i, u in comps.items():
@@ -276,9 +289,11 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
             raise ClosureError(f"identity span at {i!r} missing from the class")
         ident_lab[i] = span_label[ident.data_key()]
 
-    by_pair = _by_pair(record, lambda lab: (record[lab][0].i, record[lab][0].j))
+    by_pair = _by_pair(s1, lambda lab: (record[lab][0].i, record[lab][0].j))
 
     # 2-simplices: hash-join the commuting leg triples per boundary triangle.
+    # The triples come in label order, and so do the class indices and leg
+    # ordinals within each, so the 2-simplices are emitted in label order.
     s2_faces = {}
     cache = {}
 
@@ -314,9 +329,9 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
     face = {
         (1, 0): {lab: lab[2] for lab in s1},
         (1, 1): {lab: lab[1] for lab in s1},
-        (2, 0): {w: s2_faces[w][0][2] for w in s2},
-        (2, 1): {w: s2_faces[w][0][1] for w in s2},
-        (2, 2): {w: s2_faces[w][0][0] for w in s2},
+        (2, 0): {w: ends[2] for w, (ends, _, _) in s2_faces.items()},
+        (2, 1): {w: ends[1] for w, (ends, _, _) in s2_faces.items()},
+        (2, 2): {w: ends[0] for w, (ends, _, _) in s2_faces.items()},
     }
 
     def degen1(lab, which):
@@ -339,21 +354,18 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
         if m not in s2_faces:
             raise InvariantError(m)
 
-    sset = TruncSSet(tuple(index), s1, s2, face, degen)
+    sset = TruncSSet._trusted(tuple(index), s1, s2, face, degen)
 
-    def op1(lab):
-        return ("sp", lab[2], lab[1], lab[3], lab[5], lab[4])
+    tau1 = {lab: ("sp", lab[2], lab[1], lab[3], lab[5], lab[4]) for lab in s1}
+    for lab in s1:
+        if tau1[lab] not in record:
+            raise InvariantError(lab)
 
     def op2(w):
         _, llab, tlab, rlab, ci, xo, yo, zo = w
-        return ("sp2", op1(rlab), op1(tlab), op1(llab), ci, zo, yo, xo)
+        return ("sp2", tau1[rlab], tau1[tlab], tau1[llab], ci, zo, yo, xo)
 
-    tau_s = StrictDuality(
-        tau1={lab: op1(lab) for lab in s1}, tau2={w: op2(w) for w in s2}
-    )
-    for lab in s1:
-        if tau_s.tau1[lab] not in record:
-            raise InvariantError(lab)
+    tau_s = StrictDuality(tau1=tau1, tau2={w: op2(w) for w in s2})
     for w in s2:
         if tau_s.tau2[w] not in s2_faces:
             raise InvariantError(w)
@@ -363,7 +375,7 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
     h0 = cover.total
     h1 = _coproduct([record[lab][0].vertex for lab in sset.s1], sset.s1)
     if sset.s2:
-        h2 = _coproduct([vertices[s2_faces[w][1]] for w in sset.s2], sset.s2)
+        h2 = _coproduct([vertices[ci] for _, ci, _ in s2_faces.values()], sset.s2)
     else:
         h2 = _constant((), base)
 
@@ -375,24 +387,37 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
     hface = {
         (1, 0): tagmap(h1, h0, lambda p, e: record[e[0]][0].right.apply(p, e[1])),
         (1, 1): tagmap(h1, h0, lambda p, e: record[e[0]][0].left.apply(p, e[1])),
-        (2, 0): tagmap(h2, h1, lambda p, e: (s2_faces[e[0]][0][2], s2_faces[e[0]][2][2].apply(p, e[1]))),
-        (2, 1): tagmap(h2, h1, lambda p, e: (s2_faces[e[0]][0][1], s2_faces[e[0]][2][1].apply(p, e[1]))),
-        (2, 2): tagmap(h2, h1, lambda p, e: (s2_faces[e[0]][0][0], s2_faces[e[0]][2][0].apply(p, e[1]))),
     }
     hdegen = {
         (0, 0): tagmap(h0, h1, lambda p, e: (ident_lab[cover.zeta(p, e)], e)),
         (1, 0): tagmap(h1, h2, lambda p, e: (degen[(1, 0)][e[0]], e[1])),
         (1, 1): tagmap(h1, h2, lambda p, e: (degen[(1, 1)][e[0]], e[1])),
     }
+    # H2 lists the elements over each 2-simplex in turn, in the order of
+    # ``s2``, so its maps are read off simplex by simplex.
+    d0, d1, d2, z2, t2 = ({p: {} for p in base.points} for _ in range(5))
+    for p in base.points:
+        elems = iter(h2.fibers[p])
+        for w, ((llab, tlab, rlab), ci, (mx, my, mz)) in s2_faces.items():
+            wop = tau_s.tau2[w]
+            cx, cy, cz = mx.comp[p], my.comp[p], mz.comp[p]
+            for e in islice(elems, len(vertices[ci].fibers[p])):
+                x = e[1]
+                d0[p][e] = (rlab, cz[x])
+                d1[p][e] = (tlab, cy[x])
+                d2[p][e] = (llab, cx[x])
+                z2[p][e] = w
+                t2[p][e] = (wop, x)
+    for k, comp in enumerate((d0, d1, d2)):
+        hface[(2, k)] = PresheafMap._trusted(h2, h1, comp)
     zeta = (
         cover.struct_map,
         tagmap(h1, _constant(sset.s1, base), lambda p, e: e[0]),
-        tagmap(h2, _constant(sset.s2, base), lambda p, e: e[0]),
+        PresheafMap._trusted(h2, _constant(sset.s2, base), z2),
     )
     fam = SimplicialFamily(h0, h1, h2, hface, hdegen, sset, zeta)
     tau1 = tagmap(h1, h1, lambda p, e: (tau_s.tau1[e[0]], e[1]))
-    tau2 = tagmap(h2, h2, lambda p, e: (tau_s.tau2[e[0]], e[1]))
-    return SelfDualFamily(fam, tau_s, tau1, tau2)
+    return SelfDualFamily(fam, tau_s, tau1, PresheafMap._trusted(h2, h2, t2))
 
 
 def _all_spans(cover: Family, cls: SpanClass):

@@ -11,6 +11,20 @@ structure maps are total functions into the right sets; the simplicial
 identities themselves are checked by :func:`validate`, which reports
 violations as data instead of raising, so that deliberately broken inputs
 can be inspected.
+
+Each level is kept in ``label_key`` order.  ``TruncSSet.positions()``
+is a positional view of the same data, built on first use: the place of
+each simplex in its level, and each face and degeneracy as a tuple that
+lists, by position, the position of the image.  Positions follow label
+order, so a loop over positions visits the simplices in the order of the
+levels.  The validators and the hot loops of the families and refinements
+compare positions instead of hashing nested-tuple labels again; labels
+stay on every public object and in every message.
+
+``TruncSSet(...)`` sorts its levels and checks its maps.  The refinement
+builder, whose levels come out in label order without repeats and whose
+maps are total by construction, uses the private ``TruncSSet._trusted``,
+which neither sorts nor checks, as ``Presheaf._trusted`` does.
 """
 
 from __future__ import annotations
@@ -18,6 +32,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 from .fintopos import Family, family_components, sorted_labels
 
@@ -34,6 +49,51 @@ def _check_map(m, dom, cod, name):
             raise ValueError(f"{name} sends {x!r} outside its codomain")
 
 
+def _map_positions(m, dom, dom_pos, cod_pos, name):
+    """``m`` as a tuple listing, by position in ``dom``, the codomain
+    position of each image; raises the ``ValueError`` of ``_check_map``."""
+    if m.keys() != dom_pos.keys():
+        raise ValueError(f"{name} is not total")
+    out = tuple(map(cod_pos.get, map(m.__getitem__, dom)))
+    if None in out:
+        x = next(x for x, v in m.items() if v not in cod_pos)
+        raise ValueError(f"{name} sends {x!r} outside its codomain")
+    return out
+
+
+def _images(m, level, cod_pos):
+    """The codomain positions of ``m`` along ``level`` (a total map)."""
+    return tuple(map(cod_pos.__getitem__, map(m.__getitem__, level)))
+
+
+def _after(f, g):
+    """``f`` after ``g``, both given by position."""
+    return tuple(map(f.__getitem__, g))
+
+
+def _mismatches(level, rows):
+    """``(k, x, row)`` for each simplex ``x`` of ``level`` (at position
+    ``k``) and each row ``(lhs, rhs, ...)`` whose two sides, given by
+    position, differ at ``k``: simplices in order, rows in order."""
+    rows = [row for row in rows if row[0] != row[1]]
+    if not rows:
+        return
+    for k, x in enumerate(level):
+        for row in rows:
+            if row[0][k] != row[1][k]:
+                yield k, x, row
+
+
+class Positions(NamedTuple):
+    """The positional view of a ``TruncSSet``: ``pos[n]`` maps each
+    n-simplex to its place in ``level(n)``; ``face[(n, i)]`` and
+    ``degen[(n, i)]`` list, by position, the position of the image."""
+
+    pos: tuple
+    face: dict
+    degen: dict
+
+
 @dataclass
 class TruncSSet:
     """2-truncated simplicial set.
@@ -47,7 +107,7 @@ class TruncSSet:
     s2: tuple
     face: dict
     degen: dict
-    _level_sets: dict = field(default_factory=dict, compare=False, repr=False)
+    _positions: Positions = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.s0 = sorted_labels(self.s0)
@@ -66,6 +126,17 @@ class TruncSSet:
         for (n, i), m in self.degen.items():
             _check_map(m, levels[n], levels[n + 1], f"degeneracy s_{i} on level {n}")
 
+    @classmethod
+    def _trusted(cls, s0, s1, s2, face, degen):
+        """A truncated simplicial set from levels in ``label_key`` order
+        without repeats and total face and degeneracy maps between them,
+        keyed by ``FACE_KEYS`` and ``DEGEN_KEYS``; nothing is sorted or
+        checked."""
+        x = object.__new__(cls)
+        x.s0, x.s1, x.s2, x.face, x.degen = s0, s1, s2, face, degen
+        x._positions = None
+        return x
+
     def d(self, n, i, x):
         return self.face[(n, i)][x]
 
@@ -79,36 +150,53 @@ class TruncSSet:
     def level(self, n):
         return (self.s0, self.s1, self.s2)[n]
 
-    def level_set(self, n):
-        """The n-simplices as a frozenset (computed once per level)."""
-        if n not in self._level_sets:
-            self._level_sets[n] = frozenset(self.level(n))
-        return self._level_sets[n]
+    def positions(self) -> Positions:
+        """The positional view (computed once)."""
+        if self._positions is None:
+            levels = (self.s0, self.s1, self.s2)
+            pos = tuple({x: k for k, x in enumerate(level)} for level in levels)
+            face = {
+                (n, i): _images(m, levels[n], pos[n - 1]) for (n, i), m in self.face.items()
+            }
+            degen = {
+                (n, i): _images(m, levels[n], pos[n + 1]) for (n, i), m in self.degen.items()
+            }
+            self._positions = Positions(pos, face, degen)
+        return self._positions
 
 
 def validate(s: TruncSSet):
     """Check every truncated simplicial identity; return violation messages."""
+    levels = (s.s0, s.s1, s.s2)
+    ix = s.positions()
+    d10, d11, d20, d21, d22 = (ix.face[k] for k in FACE_KEYS)
+    s00, s10, s11 = (ix.degen[k] for k in DEGEN_KEYS)
+    id0, id1 = tuple(range(len(s.s0))), tuple(range(len(s.s1)))
+    # per level: (lhs, rhs, law, level of the values)
+    laws = (
+        (0, (
+            (_after(d10, s00), id0, "d0 s0 = id on S0", 0),
+            (_after(d11, s00), id0, "d1 s0 = id on S0", 0),
+            (_after(s10, s00), _after(s11, s00), "s0 s0 = s1 s0", 2),
+        )),
+        (2, (
+            (_after(d10, d21), _after(d10, d20), "d0 d1 = d0 d0", 0),
+            (_after(d10, d22), _after(d11, d20), "d0 d2 = d1 d0", 0),
+            (_after(d11, d22), _after(d11, d21), "d1 d2 = d1 d1", 0),
+        )),
+        (1, (
+            (_after(d20, s10), id1, "d0 s0 = id on S1", 1),
+            (_after(d21, s10), id1, "d1 s0 = id on S1", 1),
+            (_after(d22, s10), _after(s00, d11), "d2 s0 = s0 d1", 1),
+            (_after(d20, s11), _after(s00, d10), "d0 s1 = s0 d0", 1),
+            (_after(d21, s11), id1, "d1 s1 = id on S1", 1),
+            (_after(d22, s11), id1, "d2 s1 = id on S1", 1),
+        )),
+    )
     out = []
-
-    def eq(lhs, rhs, name, x):
-        if lhs != rhs:
-            out.append(f"{name} fails at {x!r}: {lhs!r} != {rhs!r}")
-
-    for i in s.s0:
-        eq(s.d(1, 0, s.deg(0, 0, i)), i, "d0 s0 = id on S0", i)
-        eq(s.d(1, 1, s.deg(0, 0, i)), i, "d1 s0 = id on S0", i)
-        eq(s.deg(1, 0, s.deg(0, 0, i)), s.deg(1, 1, s.deg(0, 0, i)), "s0 s0 = s1 s0", i)
-    for w in s.s2:
-        eq(s.d(1, 0, s.d(2, 1, w)), s.d(1, 0, s.d(2, 0, w)), "d0 d1 = d0 d0", w)
-        eq(s.d(1, 0, s.d(2, 2, w)), s.d(1, 1, s.d(2, 0, w)), "d0 d2 = d1 d0", w)
-        eq(s.d(1, 1, s.d(2, 2, w)), s.d(1, 1, s.d(2, 1, w)), "d1 d2 = d1 d1", w)
-    for l in s.s1:
-        eq(s.d(2, 0, s.deg(1, 0, l)), l, "d0 s0 = id on S1", l)
-        eq(s.d(2, 1, s.deg(1, 0, l)), l, "d1 s0 = id on S1", l)
-        eq(s.d(2, 2, s.deg(1, 0, l)), s.deg(0, 0, s.d(1, 1, l)), "d2 s0 = s0 d1", l)
-        eq(s.d(2, 0, s.deg(1, 1, l)), s.deg(0, 0, s.d(1, 0, l)), "d0 s1 = s0 d0", l)
-        eq(s.d(2, 1, s.deg(1, 1, l)), l, "d1 s1 = id on S1", l)
-        eq(s.d(2, 2, s.deg(1, 1, l)), l, "d2 s1 = id on S1", l)
+    for n, rows in laws:
+        for k, x, (lhs, rhs, law, m) in _mismatches(levels[n], rows):
+            out.append(f"{law} fails at {x!r}: {levels[m][lhs[k]]!r} != {levels[m][rhs[k]]!r}")
     return out
 
 
@@ -168,26 +256,34 @@ class ContravariantMap:
         _check_map(self.h1, self.source.s1, self.target.s1, "h1")
         _check_map(self.h2, self.source.s2, self.target.s2, "h2")
 
+    def level_map(self, n):
+        return (self.h0, self.h1, self.h2)[n]
+
 
 def validate_contravariant_map(m: ContravariantMap):
-    out = []
-    s, t = m.source, m.target
-    for l in s.s1:
-        for i in (0, 1):
-            if t.d(1, i, m.h1[l]) != m.h0[s.d(1, 1 - i, l)]:
-                out.append(f"contravariance fails for d_{i} at {l!r}")
-    for w in s.s2:
-        for i in (0, 1, 2):
-            if t.d(2, i, m.h2[w]) != m.h1[s.d(2, 2 - i, w)]:
-                out.append(f"contravariance fails for d_{i} at {w!r}")
-    for i in s.s0:
-        if t.deg(0, 0, m.h0[i]) != m.h1[s.deg(0, 0, i)]:
-            out.append(f"contravariance fails for s_0 at {i!r}")
-    for l in s.s1:
-        for i in (0, 1):
-            if t.deg(1, i, m.h1[l]) != m.h2[s.deg(1, 1 - i, l)]:
-                out.append(f"contravariance fails for s_{i} at {l!r}")
-    return out
+    pos = m.target.positions().pos
+    h = tuple(_images(m.level_map(n), m.source.level(n), pos[n]) for n in (0, 1, 2))
+    return _contravariance(m.source, m.target, h, "contravariance")
+
+
+def _contravariance(s: TruncSSet, t: TruncSSet, h, name):
+    """The contravariance laws of level maps ``s -> t`` given by position:
+    ``h[n][k]`` is the position in ``t`` of the image of the k-th
+    n-simplex of ``s``."""
+    sf, sd = s.positions().face, s.positions().degen
+    tf, td = t.positions().face, t.positions().degen
+    h0, h1, h2 = h
+    laws = (
+        (s.s1, [(_after(tf[(1, i)], h1), _after(h0, sf[(1, 1 - i)]), f"d_{i}") for i in (0, 1)]),
+        (s.s2, [(_after(tf[(2, i)], h2), _after(h1, sf[(2, 2 - i)]), f"d_{i}") for i in (0, 1, 2)]),
+        (s.s0, [(_after(td[(0, 0)], h0), _after(h1, sd[(0, 0)]), "s_0")]),
+        (s.s1, [(_after(td[(1, i)], h1), _after(h2, sd[(1, 1 - i)]), f"s_{i}") for i in (0, 1)]),
+    )
+    return [
+        f"{name} fails for {op} at {x!r}"
+        for level, rows in laws
+        for _, x, (_, _, op) in _mismatches(level, rows)
+    ]
 
 
 @dataclass
@@ -205,24 +301,32 @@ class StrictDuality:
         return self.tau2[w]
 
 
+def _duality_violations(s: TruncSSet, tau: StrictDuality):
+    """The messages of ``validate_duality`` and ``(tau_1, tau_2)`` by
+    position on ``s`` (None when either is not a map of its level)."""
+    pos = s.positions().pos
+    try:
+        t1 = _map_positions(tau.tau1, s.s1, pos[1], pos[1], "tau_1")
+        t2 = _map_positions(tau.tau2, s.s2, pos[2], pos[2], "tau_2")
+    except ValueError as exc:
+        return [str(exc)], None
+    laws = (
+        (s.s1, [(_after(t1, t1), tuple(range(len(s.s1))), "tau_1")]),
+        (s.s2, [(_after(t2, t2), tuple(range(len(s.s2))), "tau_2")]),
+    )
+    out = [
+        f"{name} is not involutive at {x!r}"
+        for level, rows in laws
+        for _, x, (_, _, name) in _mismatches(level, rows)
+    ]
+    h0 = tuple(range(len(s.s0)))
+    out += _contravariance(s, s, (h0, t1, t2), "duality contravariance")
+    return out, (t1, t2)
+
+
 def validate_duality(s: TruncSSet, tau: StrictDuality):
     """Empty iff tau is a strict duality on s (contravariant and involutive)."""
-    out = []
-    try:
-        _check_map(tau.tau1, s.s1, s.s1, "tau_1")
-        _check_map(tau.tau2, s.s2, s.s2, "tau_2")
-    except ValueError as exc:
-        return [str(exc)]
-    for l in s.s1:
-        if tau.tau1[tau.tau1[l]] != l:
-            out.append(f"tau_1 is not involutive at {l!r}")
-    for w in s.s2:
-        if tau.tau2[tau.tau2[w]] != w:
-            out.append(f"tau_2 is not involutive at {w!r}")
-    contra = ContravariantMap(s, s, {i: i for i in s.s0}, dict(tau.tau1), dict(tau.tau2))
-    for msg in validate_contravariant_map(contra):
-        out.append(msg.replace("contravariance", "duality contravariance"))
-    return out
+    return _duality_violations(s, tau)[0]
 
 
 def cech_nerve(f: Family):
@@ -270,11 +374,9 @@ def check_selfdual_groupoid_condition(s: TruncSSet, tau: StrictDuality) -> bool:
     ``l`` and ``l^op`` whose long edge is the degenerate simplex at ``i``.
     When this holds, the fundamental category is already a groupoid.
     """
-    by_faces = {}
-    for w in s.s2:
-        by_faces.setdefault((s.d(2, 2, w), s.d(2, 1, w), s.d(2, 0, w)), []).append(w)
-    for l in s.s1:
-        i = s.d(1, 1, l)
-        if (l, s.deg(0, 0, i), tau.op1(l)) not in by_faces:
-            return False
-    return True
+    ix = s.positions()
+    by_faces = set(zip(ix.face[(2, 2)], ix.face[(2, 1)], ix.face[(2, 0)]))
+    pos1, s00, d11 = ix.pos[1], ix.degen[(0, 0)], ix.face[(1, 1)]
+    return all(
+        (k, s00[d11[k]], pos1.get(tau.op1(l))) in by_faces for k, l in enumerate(s.s1)
+    )

@@ -113,11 +113,21 @@ def test_span_extraction_cech(fixture_cover):
     assert sp.left.apply("pt", ("a", "b")) == "a"
     assert sp.right.apply("pt", ("a", "b")) == "b"
 
-    sp2 = td.span_of_2simplex(fam, ("1", "2", "2"))
-    assert sp2.apex.size() == 4
-    assert sp2.p2.apply("pt", ("a", "b", "c")) == "a"
-    assert sp2.p1.apply("pt", ("a", "b", "c")) == "b"
-    assert sp2.p0.apply("pt", ("a", "b", "c")) == "c"
+    # the two-storey span of a 2-simplex: its apex and the legs to the
+    # three feet through the short edges, which agree with the long edge
+    w = ("1", "2", "2")
+    assert fam.component(2, w).size() == 4
+    l, t, r = (fam.sset.d(2, i, w) for i in (2, 1, 0))
+    d2, d1, d0 = (fam.component_face(2, i, w) for i in (2, 1, 0))
+    p2 = fam.component_face(1, 1, l).after(d2)
+    p1 = fam.component_face(1, 0, l).after(d2)
+    p0 = fam.component_face(1, 0, r).after(d0)
+    assert p2.apply("pt", ("a", "b", "c")) == "a"
+    assert p1.apply("pt", ("a", "b", "c")) == "b"
+    assert p0.apply("pt", ("a", "b", "c")) == "c"
+    assert fam.component_face(1, 1, r).after(d0).comp == p1.comp
+    assert fam.component_face(1, 1, t).after(d1).comp == p2.comp
+    assert fam.component_face(1, 0, t).after(d1).comp == p0.comp
 
 
 def test_span_legs_must_start_at_the_vertex(fixture_cover):

@@ -1,13 +1,15 @@
 """The trusted constructors against the validating ones.
 
-``Presheaf._trusted`` and ``PresheafMap._trusted`` neither sort nor check;
-the library uses them only where its output is correct by construction
-(components, component maps, the coproducts of a refinement, products,
-triangle limits, composites, the constant presheaves of simplex levels,
-the level maps of a refinement).  Each test rebuilds such outputs through the public
-``Presheaf(...)`` and ``PresheafMap(...)``, which must accept them and give
-the same fibers in the same order, the same restrictions and the same key.
-The public entry points must still reject bad input.
+``Presheaf._trusted``, ``PresheafMap._trusted`` and ``TruncSSet._trusted``
+neither sort nor check; the library uses them only where its output is
+correct by construction (components, component maps, the coproducts of a
+refinement, products, triangle limits, composites, the constant presheaves
+of simplex levels, the level maps and the index of a refinement).  Each
+test rebuilds such outputs through the public ``Presheaf(...)``,
+``PresheafMap(...)`` and ``TruncSSet(...)``, which must accept them and
+give the same fibers or levels in the same order, the same maps and the
+same key.  The positional view of every index is checked against
+``level.index``.  The public entry points must still reject bad input.
 """
 
 import json
@@ -17,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import toposdescent as td
 from toposdescent.cli import main
-from toposdescent.fintopos import _constant
+from toposdescent.fintopos import _constant, sorted_labels
 from toposdescent.hypercover import _triangle_limit
 from toposdescent.serialize import (
     SerializationError,
@@ -42,6 +44,44 @@ def assert_map_rebuilds(m):
     assert list(n.comp) == list(m.comp)
     assert n.comp == m.comp
     assert n.key() == m.key()
+
+
+def assert_positions_match(s):
+    """The positional view of ``s`` against ``level.index`` and the label
+    maps.  ``level.index`` is quadratic, so on a level of more than 200
+    simplices it is asked about every k-th one, for about 200 of them."""
+    levels = (s.s0, s.s1, s.s2)
+    ix = s.positions()
+    for n, level in enumerate(levels):
+        assert len(ix.pos[n]) == len(level)
+        assert [ix.pos[n][x] for x in level] == list(range(len(level)))
+        for x in level[:: max(1, len(level) // 200)]:
+            assert ix.pos[n][x] == level.index(x)
+    for (n, i), m in s.face.items():
+        assert [levels[n - 1][k] for k in ix.face[(n, i)]] == [m[x] for x in levels[n]]
+    for (n, i), m in s.degen.items():
+        assert [levels[n + 1][k] for k in ix.degen[(n, i)]] == [m[x] for x in levels[n]]
+
+
+def assert_sset_rebuilds(s):
+    """``s`` against its rebuild through the public ``TruncSSet(...)``:
+    the same levels in the same order, each in ``label_key`` order, the
+    same face and degeneracy maps and the same positional view."""
+    t = td.TruncSSet(
+        s.s0,
+        s.s1,
+        s.s2,
+        {k: dict(m) for k, m in s.face.items()},
+        {k: dict(m) for k, m in s.degen.items()},
+    )
+    for n in (0, 1, 2):
+        assert type(s.level(n)) is tuple
+        assert t.level(n) == s.level(n)
+        assert sorted_labels(s.level(n)) == s.level(n)
+    assert t.face == s.face
+    assert t.degen == s.degen
+    assert_positions_match(s)
+    assert t.positions() == s.positions()
 
 
 def check_family(sf):
@@ -102,6 +142,38 @@ def test_trusted_outputs_of_zero_span_refinements(name):
     comps = td.family_components(cover)
     ref = td.zero_span_refinement(cover, td.SpanClass(tuple(comps[i] for i in sorted(comps))))
     check_family(ref)
+
+
+def test_trusted_index_of_generated_refinements(generated_refinements):
+    for _, cover, ref in generated_refinements:
+        assert_sset_rebuilds(ref.base.sset)
+        # the same class listed backwards: other class indices, same order
+        members = td.SpanClassSp(tuple(reversed(list(_connected_class(cover)))))
+        assert_sset_rebuilds(td.one_span_refinement(cover, members).base.sset)
+
+
+def _connected_class(cover):
+    comps = td.family_components(cover)
+    ident = [
+        td.ClassSpan(i, i, u, td.PresheafMap.identity(u), td.PresheafMap.identity(u))
+        for i, u in comps.items()
+    ]
+    return ident + td.representable_spans(cover)
+
+
+@pytest.mark.parametrize("name", ["point-3x1", "chain-two-reps", "point-1x2"])
+def test_trusted_index_of_zero_span_refinements(name):
+    cover = dict(generated_covers())[name]
+    comps = td.family_components(cover)
+    ref = td.zero_span_refinement(cover, td.SpanClass(tuple(comps[i] for i in sorted(comps))))
+    assert_sset_rebuilds(ref.base.sset)
+
+
+def test_positions_of_cech_nerves():
+    for _, cover in generated_covers():
+        nerve, _ = td.cech_nerve(cover)
+        assert_sset_rebuilds(nerve)
+        assert_positions_match(td.cech_simplicial_family(cover).base.sset)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
