@@ -84,12 +84,12 @@ class SimplicialFamily:
         key = (n, w)
         if key not in self._derived:
             lvl, simplices = self.level(n), self.sset.level(n)
-            pos = self.sset.positions().pos[n]
+            pos = self.sset._positions_view().pos[n]
             fibers = [{p: [] for p in lvl.base.points} for _ in simplices]
             for p in lvl.base.points:
-                z = self.zeta[n].comp[p]
-                for e in lvl.fibers[p]:
-                    fibers[pos[z[e]]][p].append(e)
+                fiber = lvl.fibers[p]
+                for e, z in zip(fiber, _values_along(self.zeta[n].comp[p], fiber)):
+                    fibers[pos[z]][p].append(e)
             for v, fib in zip(simplices, fibers):
                 self._derived[(n, v)] = _sub_presheaf(
                     lvl, {p: tuple(es) for p, es in fib.items()}
@@ -148,7 +148,7 @@ class ClassSpan:
 
 
 def span_of_1simplex(f: SimplicialFamily, l) -> ClassSpan:
-    if l not in f.sset.positions().pos[1]:
+    if l not in f.sset._positions_view().pos[1]:
         raise ValueError(f"{l!r} is not a 1-simplex of the index")
     i, j = f.sset.endpoints(l)
     return ClassSpan(i, j, f.component(1, l), f.component_face(1, 1, l), f.component_face(1, 0, l))
@@ -191,14 +191,21 @@ def _composite_is(a: PresheafMap, b: PresheafMap, c: PresheafMap = None) -> bool
     return True
 
 
+def _values_along(m: dict, keys):
+    """The values of ``m`` in the order of ``keys``.  When ``m`` lists its
+    keys in that order, as the level maps a library construction builds
+    do, they are read in place without hashing the keys again."""
+    return m.values() if list(m) == list(keys) else map(m.__getitem__, keys)
+
+
 def _zeta_positions(f: SimplicialFamily, n):
     """Per point, each element of level ``n`` (in fiber order) with the
     position of the n-simplex that ``zeta_n`` puts it over."""
-    pos = f.sset.positions().pos[n]
+    pos = f.sset._positions_view().pos[n]
     out = {}
     for p in f.h0.base.points:
-        fiber, z = f.level(n).fibers[p], f.zeta[n].comp[p]
-        out[p] = dict(zip(fiber, map(pos.__getitem__, map(z.__getitem__, fiber))))
+        fiber = f.level(n).fibers[p]
+        out[p] = dict(zip(fiber, map(pos.__getitem__, _values_along(f.zeta[n].comp[p], fiber))))
     return out
 
 
@@ -208,7 +215,7 @@ def _first_off(zp, n, m, k, table):
     over ``table[position of e's simplex]``; ``zp`` is ``_zeta_positions``
     per level."""
     for p, here in zp[n].items():
-        got = list(map(zp[k][p].__getitem__, map(m.comp[p].__getitem__, here)))
+        got = list(map(zp[k][p].__getitem__, _values_along(m.comp[p], here)))
         want = list(map(table.__getitem__, here.values()))
         if got != want:
             return next(e for e, a, b in zip(here, got, want) if a != b)
@@ -257,7 +264,7 @@ def _family_violations(f: SimplicialFamily):
     eq(_composite_is(fc[(2, 2)], dg[(1, 1)]), "d2 s1 = id on H1")
     eq(_same_composite(dg[(1, 0)], dg[(0, 0)], dg[(1, 1)], dg[(0, 0)]), "s0 s0 = s1 s0 on H0")
 
-    ix = f.sset.positions()
+    ix = f.sset._positions_view()
     zp = [_zeta_positions(f, n) for n in (0, 1, 2)]
     for (n, i), m in fc.items():
         e = _first_off(zp, n, m, n - 1, ix.face[(n, i)])
@@ -501,7 +508,7 @@ def condition_g(sf: SelfDualFamily) -> bool:
     edges ``l`` and ``l^op`` whose long edge has equal face legs."""
     f = sf.base
     s = f.sset
-    ix = s.positions()
+    ix = s._positions_view()
     d1, d0 = f.face[(1, 1)], f.face[(1, 0)]
     by_faces = {}
     for k, ends in enumerate(zip(ix.face[(2, 2)], ix.face[(2, 0)])):

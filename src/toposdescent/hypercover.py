@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from itertools import islice
 from dataclasses import dataclass
 
 from .errors import ClosureError, EmptyComponentError, InvariantError
@@ -35,7 +34,13 @@ from .fintopos import (
     representable,
     sorted_labels,
 )
-from .family import ClassSpan, SelfDualFamily, SimplicialFamily, span_of_1simplex
+from .family import (
+    ClassSpan,
+    SelfDualFamily,
+    SimplicialFamily,
+    _values_along,
+    span_of_1simplex,
+)
 from .simplicial import StrictDuality, TruncSSet
 
 
@@ -122,6 +127,7 @@ def cosk_data(f: SimplicialFamily) -> CoskData:
     spans = {l: span_of_1simplex(f, l) for l in f.sset.s1}
     t2, triple_limit = [], {}
     by_pair = _by_pair(f.sset.s1, f.sset.endpoints)
+    # t2 lists the triples by their vertices i, j, k first
     for i, j, k in itertools.product(f.sset.s0, repeat=3):
         ends = (by_pair.get((i, j), ()), by_pair.get((i, k), ()), by_pair.get((j, k), ()))
         for l, t, r in itertools.product(*ends):
@@ -138,7 +144,7 @@ def _uncovered(f: SimplicialFamily, n, limits) -> dict:
     The faces of an element over ``w`` are its point in the limit over the
     boundary of ``w``; a point outside that limit raises ``ValueError``.
     """
-    ix, lower = f.sset.positions(), f.sset.level(n - 1)
+    ix, lower = f.sset._positions_view(), f.sset.level(n - 1)
     ks = range(n, -1, -1)
     faces = [f.face[(n, k)] for k in ks]
     # the boundary of each n-simplex, by position, and its limit
@@ -146,11 +152,10 @@ def _uncovered(f: SimplicialFamily, n, limits) -> dict:
     lims = [limits.get(key) for key in boundary]
     hit = defaultdict(lambda: defaultdict(set))
     for p in f.h0.base.points:
-        faces_at_p = [d.comp[p] for d in faces]
-        z, pos = f.zeta[n].comp[p], ix.pos[n]
-        for e in f.level(n).fibers[p]:
-            w = pos[z[e]]
-            point = tuple([m[e] for m in faces_at_p])
+        fiber = f.level(n).fibers[p]
+        simplex = map(ix.pos[n].__getitem__, _values_along(f.zeta[n].comp[p], fiber))
+        points = zip(*(_values_along(d.comp[p], fiber) for d in faces))
+        for e, w, point in zip(fiber, simplex, points):
             if lims[w] is None or point not in lims[w].fiber_set(p):
                 raise ValueError(f"faces of {e!r} at {p!r} lie outside the limit over {boundary[w]!r}")
             hit[boundary[w]][p].add(point)
@@ -401,7 +406,7 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
         for w, ((llab, tlab, rlab), ci, (mx, my, mz)) in s2_faces.items():
             wop = tau_s.tau2[w]
             cx, cy, cz = mx.comp[p], my.comp[p], mz.comp[p]
-            for e in islice(elems, len(vertices[ci].fibers[p])):
+            for e in itertools.islice(elems, len(vertices[ci].fibers[p])):
                 x = e[1]
                 d0[p][e] = (rlab, cz[x])
                 d1[p][e] = (tlab, cy[x])

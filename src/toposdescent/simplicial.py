@@ -12,14 +12,15 @@ identities themselves are checked by :func:`validate`, which reports
 violations as data instead of raising, so that deliberately broken inputs
 can be inspected.
 
-Each level is kept in ``label_key`` order.  ``TruncSSet.positions()``
-is a positional view of the same data, built on first use: the place of
-each simplex in its level, and each face and degeneracy as a tuple that
-lists, by position, the position of the image.  Positions follow label
-order, so a loop over positions visits the simplices in the order of the
-levels.  The validators and the hot loops of the families and refinements
-compare positions instead of hashing nested-tuple labels again; labels
-stay on every public object and in every message.
+Each level is kept in ``label_key`` order.  The private
+``TruncSSet._positions_view()`` is a positional view of the same data,
+built on first use: the place of each simplex in its level, and each face
+and degeneracy as a tuple that lists, by position, the position of the
+image.  Positions follow label order, so a loop over positions visits the
+simplices in the order of the levels.  The validators and the hot loops of
+the families and refinements compare positions instead of hashing
+nested-tuple labels again.  Positions never leave the library: every
+public object, message and report names simplices by their labels.
 
 ``TruncSSet(...)`` sorts its levels and checks its maps.  The refinement
 builder, whose levels come out in label order without repeats and whose
@@ -49,18 +50,6 @@ def _check_map(m, dom, cod, name):
             raise ValueError(f"{name} sends {x!r} outside its codomain")
 
 
-def _map_positions(m, dom, dom_pos, cod_pos, name):
-    """``m`` as a tuple listing, by position in ``dom``, the codomain
-    position of each image; raises the ``ValueError`` of ``_check_map``."""
-    if m.keys() != dom_pos.keys():
-        raise ValueError(f"{name} is not total")
-    out = tuple(map(cod_pos.get, map(m.__getitem__, dom)))
-    if None in out:
-        x = next(x for x, v in m.items() if v not in cod_pos)
-        raise ValueError(f"{name} sends {x!r} outside its codomain")
-    return out
-
-
 def _images(m, level, cod_pos):
     """The codomain positions of ``m`` along ``level`` (a total map)."""
     return tuple(map(cod_pos.__getitem__, map(m.__getitem__, level)))
@@ -84,7 +73,7 @@ def _mismatches(level, rows):
                 yield k, x, row
 
 
-class Positions(NamedTuple):
+class _Positions(NamedTuple):
     """The positional view of a ``TruncSSet``: ``pos[n]`` maps each
     n-simplex to its place in ``level(n)``; ``face[(n, i)]`` and
     ``degen[(n, i)]`` list, by position, the position of the image."""
@@ -107,7 +96,7 @@ class TruncSSet:
     s2: tuple
     face: dict
     degen: dict
-    _positions: Positions = field(default=None, compare=False, repr=False)
+    _positions: _Positions = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.s0 = sorted_labels(self.s0)
@@ -150,7 +139,7 @@ class TruncSSet:
     def level(self, n):
         return (self.s0, self.s1, self.s2)[n]
 
-    def positions(self) -> Positions:
+    def _positions_view(self) -> _Positions:
         """The positional view (computed once)."""
         if self._positions is None:
             levels = (self.s0, self.s1, self.s2)
@@ -161,14 +150,14 @@ class TruncSSet:
             degen = {
                 (n, i): _images(m, levels[n], pos[n + 1]) for (n, i), m in self.degen.items()
             }
-            self._positions = Positions(pos, face, degen)
+            self._positions = _Positions(pos, face, degen)
         return self._positions
 
 
 def validate(s: TruncSSet):
     """Check every truncated simplicial identity; return violation messages."""
     levels = (s.s0, s.s1, s.s2)
-    ix = s.positions()
+    ix = s._positions_view()
     d10, d11, d20, d21, d22 = (ix.face[k] for k in FACE_KEYS)
     s00, s10, s11 = (ix.degen[k] for k in DEGEN_KEYS)
     id0, id1 = tuple(range(len(s.s0))), tuple(range(len(s.s1)))
@@ -261,7 +250,7 @@ class ContravariantMap:
 
 
 def validate_contravariant_map(m: ContravariantMap):
-    pos = m.target.positions().pos
+    pos = m.target._positions_view().pos
     h = tuple(_images(m.level_map(n), m.source.level(n), pos[n]) for n in (0, 1, 2))
     return _contravariance(m.source, m.target, h, "contravariance")
 
@@ -270,8 +259,8 @@ def _contravariance(s: TruncSSet, t: TruncSSet, h, name):
     """The contravariance laws of level maps ``s -> t`` given by position:
     ``h[n][k]`` is the position in ``t`` of the image of the k-th
     n-simplex of ``s``."""
-    sf, sd = s.positions().face, s.positions().degen
-    tf, td = t.positions().face, t.positions().degen
+    sv, tv = s._positions_view(), t._positions_view()
+    sf, sd, tf, td = sv.face, sv.degen, tv.face, tv.degen
     h0, h1, h2 = h
     laws = (
         (s.s1, [(_after(tf[(1, i)], h1), _after(h0, sf[(1, 1 - i)]), f"d_{i}") for i in (0, 1)]),
@@ -304,12 +293,13 @@ class StrictDuality:
 def _duality_violations(s: TruncSSet, tau: StrictDuality):
     """The messages of ``validate_duality`` and ``(tau_1, tau_2)`` by
     position on ``s`` (None when either is not a map of its level)."""
-    pos = s.positions().pos
     try:
-        t1 = _map_positions(tau.tau1, s.s1, pos[1], pos[1], "tau_1")
-        t2 = _map_positions(tau.tau2, s.s2, pos[2], pos[2], "tau_2")
+        _check_map(tau.tau1, s.s1, s.s1, "tau_1")
+        _check_map(tau.tau2, s.s2, s.s2, "tau_2")
     except ValueError as exc:
         return [str(exc)], None
+    pos = s._positions_view().pos
+    t1, t2 = _images(tau.tau1, s.s1, pos[1]), _images(tau.tau2, s.s2, pos[2])
     laws = (
         (s.s1, [(_after(t1, t1), tuple(range(len(s.s1))), "tau_1")]),
         (s.s2, [(_after(t2, t2), tuple(range(len(s.s2))), "tau_2")]),
@@ -374,7 +364,7 @@ def check_selfdual_groupoid_condition(s: TruncSSet, tau: StrictDuality) -> bool:
     ``l`` and ``l^op`` whose long edge is the degenerate simplex at ``i``.
     When this holds, the fundamental category is already a groupoid.
     """
-    ix = s.positions()
+    ix = s._positions_view()
     by_faces = set(zip(ix.face[(2, 2)], ix.face[(2, 1)], ix.face[(2, 0)]))
     pos1, s00, d11 = ix.pos[1], ix.degen[(0, 0)], ix.face[(1, 1)]
     return all(

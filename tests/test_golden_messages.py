@@ -114,6 +114,24 @@ def refinement_duality_broken():
     return broken_index_duality(sf, tau2={a: sf.tau_s.tau2[b], b: sf.tau_s.tau2[a]})
 
 
+def with_dicts_reversed(f):
+    """``f`` with every level map and zeta map given by dicts that list
+    their elements backwards; nothing else changes."""
+
+    def back(m):
+        return td.PresheafMap(m.dom, m.cod, {p: dict(reversed(c.items())) for p, c in m.comp.items()})
+
+    return td.SimplicialFamily(
+        f.h0,
+        f.h1,
+        f.h2,
+        {k: back(m) for k, m in f.face.items()},
+        {k: back(m) for k, m in f.degen.items()},
+        f.sset,
+        tuple(back(z) for z in f.zeta),
+    )
+
+
 def with_base(f):
     sf = cech("point-1x2")
     return td.SelfDualFamily(f, sf.tau_s, sf.tau1, sf.tau2)
@@ -125,6 +143,9 @@ CASES = {
     "family/stretched": lambda: td.validate_family(stretched_family()),
     "family/zeta-off-a-face": lambda: td.validate_family(zeta_off_a_face()),
     "family/zeta-off-a-triangle": lambda: td.validate_family(zeta_off_a_triangle()),
+    "family/zeta-off-a-triangle-reversed": lambda: td.validate_family(
+        with_dicts_reversed(zeta_off_a_triangle())
+    ),
     "family/zeta0-moved": lambda: td.validate_family(with_zeta(cech("point-1x2").base, 0, {"b": "1"})),
     "duality/not-involutive": lambda: td.validate_duality(*dual_edge(tau1={"e": "e", "f": "f"})),
     "duality/tau2-fixes": lambda: td.validate_duality(*dual_edge(tau2={"se0": "se0", "sf1": "sf1"})),
@@ -195,6 +216,12 @@ EXPECTED = {'contravariant/broken': ["contravariance fails for d_1 at 'se0'",
                                 "zeta does not commute with face d_2 on level 2 at ('a', 'b', 'c')",
                                 "zeta does not commute with degeneracy s_0 on level 1 at ('c', "
                                 "'a')"],
+ 'family/zeta-off-a-triangle-reversed': ["zeta does not commute with face d_0 on level 2 at ('a', 'b', "
+                                          "'c')",
+                                          "zeta does not commute with face d_2 on level 2 at ('a', 'b', "
+                                          "'c')",
+                                          "zeta does not commute with degeneracy s_0 on level 1 at ('c', "
+                                          "'a')"],
  'family/zeta0-moved': ["zeta does not commute with face d_0 on level 1 at ('a', 'b')",
                         "zeta does not commute with face d_1 on level 1 at ('b', 'a')",
                         "zeta does not commute with degeneracy s_0 on level 0 at 'b'"],
@@ -260,3 +287,28 @@ EXPECTED = {'contravariant/broken': ["contravariance fails for d_1 at 'se0'",
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_violation_messages_are_pinned(case):
     assert CASES[case]() == EXPECTED[case]
+
+
+def off_limit_face():
+    """The fixture's Čech family with the long edge of one triangle moved
+    inside its component: the faces of that element no longer form a
+    point of the limit over its boundary."""
+    f = cech("point-1x2").base
+    d1 = f.face[(2, 1)]
+    comp = {"pt": {**d1.comp["pt"], ("a", "b", "c"): ("a", "b")}}
+    face = {**f.face, (2, 1): td.PresheafMap(d1.dom, d1.cod, comp)}
+    return td.SimplicialFamily(f.h0, f.h1, f.h2, face, f.degen, f.sset, f.zeta)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_coverage_names_the_first_element_outside_its_limit(reverse):
+    f = off_limit_face()
+    if reverse:
+        f = with_dicts_reversed(f)
+    cover = dict(generated_covers())["point-1x2"]
+    with pytest.raises(ValueError) as exc:
+        td.is_hypercover(f, cover)
+    assert str(exc.value) == (
+        "faces of ('a', 'b', 'c') at 'pt' lie outside the limit over "
+        "(('1', '2'), ('1', '2'), ('2', '2'))"
+    )

@@ -51,7 +51,7 @@ def assert_positions_match(s):
     maps.  ``level.index`` is quadratic, so on a level of more than 200
     simplices it is asked about every k-th one, for about 200 of them."""
     levels = (s.s0, s.s1, s.s2)
-    ix = s.positions()
+    ix = s._positions_view()
     for n, level in enumerate(levels):
         assert len(ix.pos[n]) == len(level)
         assert [ix.pos[n][x] for x in level] == list(range(len(level)))
@@ -81,7 +81,7 @@ def assert_sset_rebuilds(s):
     assert t.face == s.face
     assert t.degen == s.degen
     assert_positions_match(s)
-    assert t.positions() == s.positions()
+    assert t._positions_view() == s._positions_view()
 
 
 def check_family(sf):
