@@ -32,6 +32,7 @@ from .simplicial import (
     StrictDuality,
     TruncSSet,
     _duality_violations,
+    _values_along,
     cech_nerve,
     validate,
     validate_simplicial_map,
@@ -189,13 +190,6 @@ def _composite_is(a: PresheafMap, b: PresheafMap, c: PresheafMap = None) -> bool
         if bp.keys() != cp.keys() or any(ap[v] != cp[e] for e, v in bp.items()):
             return False
     return True
-
-
-def _values_along(m: dict, keys):
-    """The values of ``m`` in the order of ``keys``.  When ``m`` lists its
-    keys in that order, as the level maps a library construction builds
-    do, they are read in place without hashing the keys again."""
-    return m.values() if list(m) == list(keys) else map(m.__getitem__, keys)
 
 
 def _zeta_positions(f: SimplicialFamily, n):

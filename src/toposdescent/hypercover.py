@@ -34,14 +34,8 @@ from .fintopos import (
     representable,
     sorted_labels,
 )
-from .family import (
-    ClassSpan,
-    SelfDualFamily,
-    SimplicialFamily,
-    _values_along,
-    span_of_1simplex,
-)
-from .simplicial import StrictDuality, TruncSSet
+from .family import ClassSpan, SelfDualFamily, SimplicialFamily, span_of_1simplex
+from .simplicial import StrictDuality, TruncSSet, _values_along
 
 
 @dataclass

@@ -50,9 +50,16 @@ def _check_map(m, dom, cod, name):
             raise ValueError(f"{name} sends {x!r} outside its codomain")
 
 
+def _values_along(m: dict, keys):
+    """The values of ``m`` in the order of ``keys``.  When ``m`` lists its
+    keys in that order, as the maps a library construction builds do,
+    they are read in place without hashing the keys again."""
+    return m.values() if list(m) == list(keys) else map(m.__getitem__, keys)
+
+
 def _images(m, level, cod_pos):
     """The codomain positions of ``m`` along ``level`` (a total map)."""
-    return tuple(map(cod_pos.__getitem__, map(m.__getitem__, level)))
+    return tuple(map(cod_pos.__getitem__, _values_along(m, level)))
 
 
 def _after(f, g):
@@ -293,12 +300,14 @@ class StrictDuality:
 def _duality_violations(s: TruncSSet, tau: StrictDuality):
     """The messages of ``validate_duality`` and ``(tau_1, tau_2)`` by
     position on ``s`` (None when either is not a map of its level)."""
+    pos = s._positions_view().pos
     try:
-        _check_map(tau.tau1, s.s1, s.s1, "tau_1")
-        _check_map(tau.tau2, s.s2, s.s2, "tau_2")
+        # the position dicts stand for the levels: sets built from dicts
+        # reuse the stored hashes of the labels
+        _check_map(tau.tau1, pos[1], pos[1], "tau_1")
+        _check_map(tau.tau2, pos[2], pos[2], "tau_2")
     except ValueError as exc:
         return [str(exc)], None
-    pos = s._positions_view().pos
     t1, t2 = _images(tau.tau1, s.s1, pos[1]), _images(tau.tau2, s.s2, pos[2])
     laws = (
         (s.s1, [(_after(t1, t1), tuple(range(len(s.s1))), "tau_1")]),
