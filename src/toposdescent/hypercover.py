@@ -355,16 +355,16 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
 
     sset = TruncSSet._trusted(tuple(index), s1, s2, face, degen)
 
-    tau1 = {lab: ("sp", lab[2], lab[1], lab[3], lab[5], lab[4]) for lab in s1}
+    op1 = {lab: ("sp", lab[2], lab[1], lab[3], lab[5], lab[4]) for lab in s1}
     for lab in s1:
-        if tau1[lab] not in record:
+        if op1[lab] not in record:
             raise InvariantError(lab)
 
     def op2(w):
         _, llab, tlab, rlab, ci, xo, yo, zo = w
-        return ("sp2", tau1[rlab], tau1[tlab], tau1[llab], ci, zo, yo, xo)
+        return ("sp2", op1[rlab], op1[tlab], op1[llab], ci, zo, yo, xo)
 
-    tau_s = StrictDuality(tau1=tau1, tau2={w: op2(w) for w in s2})
+    tau_s = StrictDuality(tau1=op1, tau2={w: op2(w) for w in s2})
     for w in s2:
         if tau_s.tau2[w] not in s2_faces:
             raise InvariantError(w)
