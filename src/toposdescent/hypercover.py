@@ -121,14 +121,11 @@ def cosk_data(f: SimplicialFamily) -> CoskData:
     spans = {l: span_of_1simplex(f, l) for l in f.sset.s1}
     t2, triple_limit = [], {}
     by_pair = _by_pair(f.sset.s1, f.sset.endpoints)
-    # t2 lists the triples by their vertices i, j, k first
-    for i, j, k in itertools.product(f.sset.s0, repeat=3):
-        ends = (by_pair.get((i, j), ()), by_pair.get((i, k), ()), by_pair.get((j, k), ()))
-        for l, t, r in itertools.product(*ends):
-            lim = _triangle_limit(base, spans[l], spans[t], spans[r])
-            if not lim.is_initial():
-                t2.append((l, t, r))
-                triple_limit[(l, t, r)] = lim
+    for l, t, r in _composable_triples(by_pair, f.sset.s0):
+        lim = _triangle_limit(base, spans[l], spans[t], spans[r])
+        if not lim.is_initial():
+            t2.append((l, t, r))
+            triple_limit[(l, t, r)] = lim
     return CoskData(pairs, pair_limit, tuple(t2), triple_limit)
 
 

@@ -252,13 +252,10 @@ class ContravariantMap:
         _check_map(self.h1, self.source.s1, self.target.s1, "h1")
         _check_map(self.h2, self.source.s2, self.target.s2, "h2")
 
-    def level_map(self, n):
-        return (self.h0, self.h1, self.h2)[n]
-
 
 def validate_contravariant_map(m: ContravariantMap):
     pos = m.target._positions_view().pos
-    h = tuple(_images(m.level_map(n), m.source.level(n), pos[n]) for n in (0, 1, 2))
+    h = tuple(_images(hn, m.source.level(n), pos[n]) for n, hn in enumerate((m.h0, m.h1, m.h2)))
     return _contravariance(m.source, m.target, h, "contravariance")
 
 
