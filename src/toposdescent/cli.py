@@ -38,6 +38,7 @@ from .serialize import (
     enc_label,
     family_from_json,
     presheaf_from_json,
+    presheaf_map_from_json,
     sdescent_to_json,
     selfdual_family_to_json,
     sset_to_json,
@@ -132,19 +133,16 @@ def _load_span_class(spec, cover):
     if kind == "one":
         data = _load_json(path)
         try:
-            from .fintopos import PresheafMap, family_components
+            from .fintopos import family_components
 
             comps = family_components(cover)
+            memo = {}
             spans = []
             for raw in data["spans"]:
-                i, j = dec_label(raw["i"]), dec_label(raw["j"])
-                vertex = presheaf_from_json(raw["vertex"], cover.total.base)
-                left = PresheafMap(
-                    vertex, comps[i], {dec_label(p): {dec_label(a): dec_label(b) for a, b in m.items()} for p, m in raw["left"].items()}
-                )
-                right = PresheafMap(
-                    vertex, comps[j], {dec_label(p): {dec_label(a): dec_label(b) for a, b in m.items()} for p, m in raw["right"].items()}
-                )
+                i, j = dec_label(raw["i"], memo), dec_label(raw["j"], memo)
+                vertex = presheaf_from_json(raw["vertex"], cover.total.base, memo)
+                left = presheaf_map_from_json(raw["left"], vertex, comps[i], memo)
+                right = presheaf_map_from_json(raw["right"], vertex, comps[j], memo)
                 spans.append(ClassSpan(i, j, vertex, left, right))
             return ("one", SpanClassSp(tuple(spans)))
         except (SerializationError, AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -41,7 +41,7 @@ from .fintopos import (
     sorted_labels,
 )
 from .groupoid import enumerate_actions, g_fundamental_presentation
-from .hypercover import SpanClassSp, one_span_refinement, representable_span
+from .hypercover import SpanClassSp, _unique_by, one_span_refinement, representable_span
 from .simplicial import cech_nerve
 
 
@@ -276,12 +276,7 @@ def all_action_spans(cover: Family, u: UDescentDatum):
                     w = action_span_test(span, u)
                     if w is not None:
                         spans.append(ActionSpan(span, w))
-    seen, out = set(), []
-    for s in spans:
-        if s.data_key() not in seen:
-            seen.add(s.data_key())
-            out.append(s)
-    return out
+    return list(_unique_by(spans, ActionSpan.data_key))
 
 
 def main1_forward(cover: Family, u: UDescentDatum):

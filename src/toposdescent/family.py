@@ -10,13 +10,22 @@ required non-initial.  Each 1-simplex carries a span (its component with
 the two face legs), each 2-simplex a two-storey span; the family is
 equivalent to this collection of spans, which is how the refinement
 constructions build families.
+
+A family also has a fiber at each point ``p`` of the base (not to be
+confused with the component over a simplex): ``H(p)`` is a truncated
+simplicial set, the fibers of the levels at ``p`` with the
+components of the face and degeneracy maps.  ``zeta_p : H(p) -> S`` is a
+simplicial map, and a self-duality is a strict duality on each ``H(p)``
+over the one on ``S``.  :func:`validate_family` and
+:func:`validate_selfdual` check exactly that, fiber by fiber, through the
+law rows of :mod:`simplicial` that also check ``S``; a law is reported
+once if it fails on some fiber.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BaseMismatchError
 from .fintopos import (
     Family,
     Presheaf,
@@ -31,7 +40,12 @@ from .simplicial import (
     SimplicialMap,
     StrictDuality,
     TruncSSet,
+    _after,
     _duality_violations,
+    _identities,
+    _images,
+    _mismatches,
+    _squares,
     _values_along,
     cech_nerve,
     validate,
@@ -155,78 +169,20 @@ def span_of_1simplex(f: SimplicialFamily, l) -> ClassSpan:
     return ClassSpan(i, j, f.component(1, l), f.component_face(1, 1, l), f.component_face(1, 0, l))
 
 
-def _composable(a: PresheafMap, b: PresheafMap):
-    if b.cod != a.dom:
-        raise BaseMismatchError("composite of non-composable presheaf maps")
-
-
-def _same_composite(a: PresheafMap, b: PresheafMap, c: PresheafMap, d: PresheafMap) -> bool:
-    """Whether ``a.after(b)`` and ``c.after(d)`` have equal components,
-    compared element by element without building either composite."""
-    _composable(a, b)
-    _composable(c, d)
-    if b.comp.keys() != d.comp.keys():
-        return False
-    for p, bp in b.comp.items():
-        ap, cp, dp = a.comp[p], c.comp[p], d.comp[p]
-        if bp.keys() != dp.keys() or any(ap[v] != cp[dp[e]] for e, v in bp.items()):
-            return False
-    return True
-
-
-def _composite_is(a: PresheafMap, b: PresheafMap, c: PresheafMap = None) -> bool:
-    """Whether ``a.after(b)`` has the components of ``c``, or of the identity
-    of ``b.dom`` when ``c`` is None, compared element by element."""
-    _composable(a, b)
-    if c is not None and b.comp.keys() != c.comp.keys():
-        return False
-    for p, bp in b.comp.items():
-        ap = a.comp[p]
-        if c is None:
-            if any(ap[v] != e for e, v in bp.items()):
-                return False
-            continue
-        cp = c.comp[p]
-        if bp.keys() != cp.keys() or any(ap[v] != cp[e] for e, v in bp.items()):
-            return False
-    return True
-
-
-def _zeta_positions(f: SimplicialFamily, n):
-    """Per point, each element of level ``n`` (in fiber order) with the
-    position of the n-simplex that ``zeta_n`` puts it over."""
-    pos = f.sset._positions_view().pos[n]
-    out = {}
-    for p in f.h0.base.points:
-        fiber = f.level(n).fibers[p]
-        out[p] = dict(zip(fiber, map(pos.__getitem__, _values_along(f.zeta[n].comp[p], fiber))))
-    return out
-
-
-def _first_off(zp, n, m, k, table):
-    """The first element ``e`` of level ``n``, in the order of the points
-    and fibers, whose image under ``m`` (into level ``k``) does not lie
-    over ``table[position of e's simplex]``; ``zp`` is ``_zeta_positions``
-    per level."""
-    for p, here in zp[n].items():
-        got = list(map(zp[k][p].__getitem__, _values_along(m.comp[p], here)))
-        want = list(map(table.__getitem__, here.values()))
-        if got != want:
-            return next(e for e, a, b in zip(here, got, want) if a != b)
-    return None
-
-
-def _component_emptiness(f: SimplicialFamily, zp):
-    """A message per index simplex that no element of its level lies over,
-    read off the positions of the zeta images."""
+def _fibers(f: SimplicialFamily):
+    """Per base point ``p``, in order: ``(p, h, z)`` with ``h`` the fiber
+    ``H(p)``, the truncated simplicial set of the fibers of the levels at
+    ``p`` and the components of the face and degeneracy maps there, and
+    ``z`` the map ``zeta_p : H(p) -> S`` by position (``z[n][k]`` is the
+    position of the simplex under the k-th element of ``H(p)_n``)."""
+    pos = f.sset._positions_view().pos
     out = []
-    for n in (0, 1, 2):
-        hit = set()
-        for here in zp[n].values():
-            hit.update(here.values())
-        for k, w in enumerate(f.sset.level(n)):
-            if k not in hit:
-                out.append(f"component over {w!r} on level {n} is empty (non-emptiness assumption)")
+    for p in f.h0.base.points:
+        levels = [f.level(n).fibers[p] for n in (0, 1, 2)]
+        face = {k: m.comp[p] for k, m in f.face.items()}
+        degen = {k: m.comp[p] for k, m in f.degen.items()}
+        z = tuple(_images(f.zeta[n].comp[p], levels[n], pos[n]) for n in (0, 1, 2))
+        out.append((p, TruncSSet._trusted(*levels, face, degen), z))
     return out
 
 
@@ -236,41 +192,37 @@ def validate_family(f: SimplicialFamily):
 
 
 def _family_violations(f: SimplicialFamily):
-    """The messages of ``validate_family`` and ``_zeta_positions`` of each
-    level."""
+    """The messages of ``validate_family``, and ``_fibers(f)``.  Each fiber
+    is a truncated simplicial set and zeta a simplicial map on it, so a law
+    fails if it fails on some fiber."""
     out = [f"index simplicial set: {v}" for v in validate(f.sset)]
+    fibers = _fibers(f)
+    failing = {}
+    for _, h, _ in fibers:
+        for n, lhs, rhs, law, _ in _identities(h):
+            failing[(law, n)] = failing.get((law, n)) or lhs != rhs
+    out += [f"{law} on H{n} fails" for (law, n), bad in failing.items() if bad]
 
-    def eq(ok, name):
-        if not ok:
-            out.append(f"{name} fails")
+    # per square, the first element (points, then fibers, in order) where
+    # zeta fails it
+    first = {}
+    for _, h, z in fibers:
+        for _, x, (n, *_, op) in _mismatches(h, _squares(h, f.sset, z, False)):
+            first.setdefault((n, op), x)
+    # one message per map, in the order the family lists its maps
+    maps = [(n, f"d_{i}", "face") for n, i in f.face] + [(n, f"s_{i}", "degeneracy") for n, i in f.degen]
+    for n, op, kind in maps:
+        if (n, op) in first:
+            out.append(f"zeta does not commute with {kind} {op} on level {n} at {first[(n, op)]!r}")
 
-    fc, dg = f.face, f.degen
-    for i in (0, 1):
-        eq(_composite_is(fc[(1, i)], dg[(0, 0)]), f"d{i} s0 = id on H0")
-    eq(_same_composite(fc[(1, 0)], fc[(2, 1)], fc[(1, 0)], fc[(2, 0)]), "d0 d1 = d0 d0 on H2")
-    eq(_same_composite(fc[(1, 0)], fc[(2, 2)], fc[(1, 1)], fc[(2, 0)]), "d0 d2 = d1 d0 on H2")
-    eq(_same_composite(fc[(1, 1)], fc[(2, 2)], fc[(1, 1)], fc[(2, 1)]), "d1 d2 = d1 d1 on H2")
-    eq(_composite_is(fc[(2, 0)], dg[(1, 0)]), "d0 s0 = id on H1")
-    eq(_composite_is(fc[(2, 1)], dg[(1, 0)]), "d1 s0 = id on H1")
-    eq(_same_composite(fc[(2, 2)], dg[(1, 0)], dg[(0, 0)], fc[(1, 1)]), "d2 s0 = s0 d1 on H1")
-    eq(_same_composite(fc[(2, 0)], dg[(1, 1)], dg[(0, 0)], fc[(1, 0)]), "d0 s1 = s0 d0 on H1")
-    eq(_composite_is(fc[(2, 1)], dg[(1, 1)]), "d1 s1 = id on H1")
-    eq(_composite_is(fc[(2, 2)], dg[(1, 1)]), "d2 s1 = id on H1")
-    eq(_same_composite(dg[(1, 0)], dg[(0, 0)], dg[(1, 1)], dg[(0, 0)]), "s0 s0 = s1 s0 on H0")
-
-    ix = f.sset._positions_view()
-    zp = [_zeta_positions(f, n) for n in (0, 1, 2)]
-    for (n, i), m in fc.items():
-        e = _first_off(zp, n, m, n - 1, ix.face[(n, i)])
-        if e is not None:
-            out.append(f"zeta does not commute with face d_{i} on level {n} at {e!r}")
-    for (n, i), m in dg.items():
-        e = _first_off(zp, n, m, n + 1, ix.degen[(n, i)])
-        if e is not None:
-            out.append(f"zeta does not commute with degeneracy s_{i} on level {n} at {e!r}")
-
-    out += _component_emptiness(f, zp)
-    return out, zp
+    for n in (0, 1, 2):
+        hit = set().union(*(z[n] for _, _, z in fibers))
+        out += [
+            f"component over {w!r} on level {n} is empty (non-emptiness assumption)"
+            for k, w in enumerate(f.sset.level(n))
+            if k not in hit
+        ]
+    return out, fibers
 
 
 @dataclass
@@ -297,44 +249,58 @@ class SelfDualFamily:
         return _component_map(self.base, tau, n, w, n, wop)
 
 
+# The exchange laws of a self-duality, in the order they are reported, by
+# the contravariant square of (id, tau1, tau2) on a fiber that states each.
+_EXCHANGE_LAWS = (
+    ((1, "d_0"), "d0 tau1 = d1"),
+    ((1, "d_1"), "d1 tau1 = d0"),
+    ((2, "d_0"), "d0 tau2 = tau1 d2"),
+    ((2, "d_1"), "d1 tau2 = tau1 d1"),
+    ((2, "d_2"), "d2 tau2 = tau1 d0"),
+    ((0, "s_0"), "tau1 s0 = s0"),
+    ((1, "s_1"), "tau2 s0 = s1 tau1"),
+    ((1, "s_0"), "tau2 s1 = s0 tau1"),
+)
+
+
 def validate_selfdual(sf: SelfDualFamily):
     """All self-dual family laws: base validity, duality validity, zeta
     compatibility, involutivity, and the contravariant exchange of faces
-    and degeneracies (the span of ``w^op`` is the dual span of ``w``)."""
+    and degeneracies (the span of ``w^op`` is the dual span of ``w``).  On
+    each fiber ``H(p)``, ``(tau1, tau2)`` must be a strict duality over the
+    one on the index."""
     f = sf.base
-    out, zp = _family_violations(f)
+    out, fibers = _family_violations(f)
     bad, ops = _duality_violations(f.sset, sf.tau_s)
     out += [f"index duality: {v}" for v in bad]
     if out:
         return out
-
-    def eq(ok, name):
-        if not ok:
-            out.append(f"{name} fails")
-
+    # per fiber: the fiber, zeta and t = (id, tau1, tau2), all by position
+    by_pos = []
+    for p, h, z in fibers:
+        pos = h._positions_view().pos
+        t1, t2 = _images(sf.tau1.comp[p], h.s1, pos[1]), _images(sf.tau2.comp[p], h.s2, pos[2])
+        by_pos.append((h, z, (tuple(range(len(h.s0))), t1, t2)))
     for n, tau in ((1, sf.tau1), (2, sf.tau2)):
-        e = _first_off(zp, n, tau, n, ops[n - 1])
+        rows = ((h, [(n, _after(z[n], t[n]), _after(ops[n - 1], z[n]))]) for h, z, t in by_pos)
+        e = next((x for h, row in rows for _, x, _ in _mismatches(h, row)), None)
         if e is not None:
             out.append(f"tau_{n} does not lie over the index duality at {e!r}")
         # an involution is an isomorphism, so only a map that is not one
         # can fail to be invertible
-        involutive = _composite_is(tau, tau)
-        eq(involutive, f"tau_{n} involutive")
-        if not involutive and not tau.is_iso():
-            out.append(f"tau_{n} is not an isomorphism")
+        if any(_after(t[n], t[n]) != tuple(range(len(t[n]))) for _, _, t in by_pos):
+            out.append(f"tau_{n} involutive fails")
+            if not tau.is_iso():
+                out.append(f"tau_{n} is not an isomorphism")
     if out:
         return out
-    fc, dg = f.face, f.degen
-    eq(_composite_is(fc[(1, 0)], sf.tau1, fc[(1, 1)]), "d0 tau1 = d1")
-    eq(_composite_is(fc[(1, 1)], sf.tau1, fc[(1, 0)]), "d1 tau1 = d0")
-    for i in (0, 1, 2):
-        eq(
-            _same_composite(fc[(2, i)], sf.tau2, sf.tau1, fc[(2, 2 - i)]),
-            f"d{i} tau2 = tau1 d{2 - i}",
-        )
-    eq(_composite_is(sf.tau1, dg[(0, 0)], dg[(0, 0)]), "tau1 s0 = s0")
-    eq(_same_composite(sf.tau2, dg[(1, 0)], dg[(1, 1)], sf.tau1), "tau2 s0 = s1 tau1")
-    eq(_same_composite(sf.tau2, dg[(1, 1)], dg[(1, 0)], sf.tau1), "tau2 s1 = s0 tau1")
+    failing = {
+        (n, op)
+        for h, _, t in by_pos
+        for n, lhs, rhs, op in _squares(h, h, t, True)
+        if lhs != rhs
+    }
+    out += [f"{law} fails" for key, law in _EXCHANGE_LAWS if key in failing]
     return out
 
 
@@ -414,10 +380,10 @@ def validate_simplicial_family_morphism(m: SimplicialFamilyMorphism):
                 out.append(f"zeta square fails on level {n} at {e!r}")
                 break
     for (n, i), fsrc in src.face.items():
-        if not _same_composite(m.level_map(n - 1), fsrc, tgt.face[(n, i)], m.level_map(n)):
+        if m.level_map(n - 1).after(fsrc).comp != tgt.face[(n, i)].after(m.level_map(n)).comp:
             out.append(f"morphism does not commute with face d_{i} on level {n}")
     for (n, i), dsrc in src.degen.items():
-        if not _same_composite(m.level_map(n + 1), dsrc, tgt.degen[(n, i)], m.level_map(n)):
+        if m.level_map(n + 1).after(dsrc).comp != tgt.degen[(n, i)].after(m.level_map(n)).comp:
             out.append(f"morphism does not commute with degeneracy s_{i} on level {n}")
     return out
 
@@ -427,9 +393,9 @@ def morphism_commutes_with_dualities(
 ):
     """Violations of h tau = tau h and alpha tau = tau alpha."""
     out = []
-    if not _same_composite(m.h1, src.tau1, tgt.tau1, m.h1):
+    if m.h1.after(src.tau1).comp != tgt.tau1.after(m.h1).comp:
         out.append("h1 does not commute with tau1")
-    if not _same_composite(m.h2, src.tau2, tgt.tau2, m.h2):
+    if m.h2.after(src.tau2).comp != tgt.tau2.after(m.h2).comp:
         out.append("h2 does not commute with tau2")
     for l in src.base.sset.s1:
         if m.alpha.h1[src.tau_s.op1(l)] != tgt.tau_s.op1(m.alpha.h1[l]):
@@ -475,7 +441,7 @@ def span_morphism_exists(a: ClassSpan, b: ClassSpan) -> bool:
     """Whether some map of vertices commutes with both legs (matching the
     left legs to each other and the right legs to each other)."""
     for phi in hom_enumerate(a.vertex, b.vertex):
-        if _composite_is(b.left, phi, a.left) and _composite_is(b.right, phi, a.right):
+        if b.left.after(phi).comp == a.left.comp and b.right.after(phi).comp == a.right.comp:
             return True
     return False
 

@@ -180,6 +180,14 @@ def is_hypercover(f: SimplicialFamily, cover: Family) -> bool:
     return not any(missed for level in report.values() for missed in level.values())
 
 
+def _unique_by(items, key):
+    """``items`` without repeats of ``key``: the first of each, in order."""
+    out = {}
+    for m in items:
+        out.setdefault(key(m), m)
+    return tuple(out.values())
+
+
 @dataclass
 class SpanClass:
     """A finite list of non-initial vertex candidates (representatives of an
@@ -188,15 +196,9 @@ class SpanClass:
     members: tuple
 
     def __post_init__(self):
-        seen, out = set(), []
-        for m in self.members:
-            if m.is_initial():
-                raise EmptyComponentError("span class contains an initial presheaf")
-            k = m.key()
-            if k not in seen:
-                seen.add(k)
-                out.append(m)
-        self.members = tuple(out)
+        if any(m.is_initial() for m in self.members):
+            raise EmptyComponentError("span class contains an initial presheaf")
+        self.members = _unique_by(self.members, Presheaf.key)
 
 
 @dataclass
@@ -207,24 +209,12 @@ class SpanClassSp:
     members: tuple
 
     def __post_init__(self):
-        seen, out = set(), []
-        for m in self.members:
-            if m.vertex.is_initial():
-                raise EmptyComponentError("span class contains a span with initial vertex")
-            k = m.data_key()
-            if k not in seen:
-                seen.add(k)
-                out.append(m)
-        self.members = tuple(out)
+        if any(m.vertex.is_initial() for m in self.members):
+            raise EmptyComponentError("span class contains a span with initial vertex")
+        self.members = _unique_by(self.members, ClassSpan.data_key)
 
     def vertices(self):
-        seen, out = set(), []
-        for m in self.members:
-            k = m.vertex.key()
-            if k not in seen:
-                seen.add(k)
-                out.append(m.vertex)
-        return tuple(out)
+        return _unique_by((m.vertex for m in self.members), Presheaf.key)
 
 
 def _check_closure(spans, comps):

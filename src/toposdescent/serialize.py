@@ -258,6 +258,10 @@ def presheaf_map_to_json(m: PresheafMap, memo=None) -> dict:
     return {enc_label(p, memo): _enc_map(m.comp[p], memo) for p in m.dom.base.points}
 
 
+def presheaf_map_from_json(d: dict, dom: Presheaf, cod: Presheaf, memo=None) -> PresheafMap:
+    return PresheafMap(dom, cod, {dec_label(p, memo): _dec_map(m, memo) for p, m in d.items()})
+
+
 def sdescent_to_json(d) -> dict:
     return {
         "carriers": {enc_label(i): [enc_label(r) for r in rs] for i, rs in d.carrier.items()},
@@ -345,29 +349,23 @@ def selfdual_family_from_json(d: dict):
         if tau_s is None:
             raise SerializationError("family JSON lacks the index duality")
         levels = {n: presheaf_from_json(d["levels"][str(n)], poset, memo) for n in (0, 1, 2)}
-
-        def dec_comp(raw):
-            return {dec_label(p, memo): _dec_map(m, memo) for p, m in raw.items()}
-
         face = {}
         for key, raw in d["faces"].items():
             n, i = (int(x) for x in key.split(","))
-            face[(n, i)] = PresheafMap(levels[n], levels[n - 1], dec_comp(raw))
+            face[(n, i)] = presheaf_map_from_json(raw, levels[n], levels[n - 1], memo)
         degen = {}
         for key, raw in d["degens"].items():
             n, i = (int(x) for x in key.split(","))
-            degen[(n, i)] = PresheafMap(levels[n], levels[n + 1], dec_comp(raw))
+            degen[(n, i)] = presheaf_map_from_json(raw, levels[n], levels[n + 1], memo)
         zeta = tuple(
-            PresheafMap(
-                levels[n],
-                constant_presheaf(sset.level(n), poset),
-                dec_comp(d["zeta"][str(n)]),
+            presheaf_map_from_json(
+                d["zeta"][str(n)], levels[n], constant_presheaf(sset.level(n), poset), memo
             )
             for n in (0, 1, 2)
         )
         fam = SimplicialFamily(levels[0], levels[1], levels[2], face, degen, sset, zeta)
-        tau1 = PresheafMap(levels[1], levels[1], dec_comp(d["tau"]["1"]))
-        tau2 = PresheafMap(levels[2], levels[2], dec_comp(d["tau"]["2"]))
+        tau1 = presheaf_map_from_json(d["tau"]["1"], levels[1], levels[1], memo)
+        tau2 = presheaf_map_from_json(d["tau"]["2"], levels[2], levels[2], memo)
         return SelfDualFamily(fam, tau_s, tau1, tau2)
     except SerializationError:
         raise

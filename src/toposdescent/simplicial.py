@@ -22,6 +22,13 @@ the families and refinements compare positions instead of hashing
 nested-tuple labels again.  Positions never leave the library: every
 public object, message and report names simplices by their labels.
 
+Each law is written once, as rows of positions: ``_identities`` lists the
+twelve truncated simplicial identities, ``_squares`` the eight squares of
+level maps, covariant or contravariant.  :func:`validate`,
+:func:`validate_simplicial_map`, :func:`validate_contravariant_map` and
+:func:`validate_duality` read them on one simplicial set; the family
+validators read the same rows on each fiber of a family.
+
 ``TruncSSet(...)`` sorts its levels and checks its maps.  The refinement
 builder, whose levels come out in label order without repeats and whose
 maps are total by construction, uses the private ``TruncSSet._trusted``,
@@ -32,7 +39,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
 from typing import NamedTuple
 
 from .fintopos import Family, family_components, sorted_labels
@@ -67,17 +74,18 @@ def _after(f, g):
     return tuple(map(f.__getitem__, g))
 
 
-def _mismatches(level, rows):
-    """``(k, x, row)`` for each simplex ``x`` of ``level`` (at position
-    ``k``) and each row ``(lhs, rhs, ...)`` whose two sides, given by
-    position, differ at ``k``: simplices in order, rows in order."""
-    rows = [row for row in rows if row[0] != row[1]]
-    if not rows:
-        return
-    for k, x in enumerate(level):
-        for row in rows:
-            if row[0][k] != row[1][k]:
-                yield k, x, row
+def _mismatches(s, rows):
+    """``(k, x, row)`` for each row ``(n, lhs, rhs, ...)`` and each
+    n-simplex ``x`` of ``s`` (at position ``k``) where the two sides, given
+    by position, differ.  Rows are taken in runs of one level; within a run,
+    simplices in order, then rows in order."""
+    for n, run in groupby(rows, operator.itemgetter(0)):
+        run = [row for row in run if row[1] != row[2]]
+        if run:
+            for k, x in enumerate(s.level(n)):
+                for row in run:
+                    if row[1][k] != row[2][k]:
+                        yield k, x, row
 
 
 class _Positions(NamedTuple):
@@ -161,39 +169,66 @@ class TruncSSet:
         return self._positions
 
 
-def validate(s: TruncSSet):
-    """Check every truncated simplicial identity; return violation messages."""
-    levels = (s.s0, s.s1, s.s2)
+def _identities(s: TruncSSet):
+    """The truncated simplicial identities of ``s`` as rows
+    ``(n, lhs, rhs, law, m)``: the two sides, given by position, of ``law``
+    on the n-simplices, whose values are m-simplices.  Families check the
+    same rows on each fiber, and name their laws in this order.  Rows are
+    made one at a time, so a caller that checks each row and drops it holds
+    two sides at once."""
     ix = s._positions_view()
     d10, d11, d20, d21, d22 = (ix.face[k] for k in FACE_KEYS)
     s00, s10, s11 = (ix.degen[k] for k in DEGEN_KEYS)
     id0, id1 = tuple(range(len(s.s0))), tuple(range(len(s.s1)))
-    # per level: (lhs, rhs, law, level of the values)
-    laws = (
-        (0, (
-            (_after(d10, s00), id0, "d0 s0 = id on S0", 0),
-            (_after(d11, s00), id0, "d1 s0 = id on S0", 0),
-            (_after(s10, s00), _after(s11, s00), "s0 s0 = s1 s0", 2),
-        )),
-        (2, (
-            (_after(d10, d21), _after(d10, d20), "d0 d1 = d0 d0", 0),
-            (_after(d10, d22), _after(d11, d20), "d0 d2 = d1 d0", 0),
-            (_after(d11, d22), _after(d11, d21), "d1 d2 = d1 d1", 0),
-        )),
-        (1, (
-            (_after(d20, s10), id1, "d0 s0 = id on S1", 1),
-            (_after(d21, s10), id1, "d1 s0 = id on S1", 1),
-            (_after(d22, s10), _after(s00, d11), "d2 s0 = s0 d1", 1),
-            (_after(d20, s11), _after(s00, d10), "d0 s1 = s0 d0", 1),
-            (_after(d21, s11), id1, "d1 s1 = id on S1", 1),
-            (_after(d22, s11), id1, "d2 s1 = id on S1", 1),
-        )),
-    )
+    yield 0, _after(d10, s00), id0, "d0 s0 = id", 0
+    yield 0, _after(d11, s00), id0, "d1 s0 = id", 0
+    yield 2, _after(d10, d21), _after(d10, d20), "d0 d1 = d0 d0", 0
+    yield 2, _after(d10, d22), _after(d11, d20), "d0 d2 = d1 d0", 0
+    yield 2, _after(d11, d22), _after(d11, d21), "d1 d2 = d1 d1", 0
+    yield 1, _after(d20, s10), id1, "d0 s0 = id", 1
+    yield 1, _after(d21, s10), id1, "d1 s0 = id", 1
+    yield 1, _after(d22, s10), _after(s00, d11), "d2 s0 = s0 d1", 1
+    yield 1, _after(d20, s11), _after(s00, d10), "d0 s1 = s0 d0", 1
+    yield 1, _after(d21, s11), id1, "d1 s1 = id", 1
+    yield 1, _after(d22, s11), id1, "d2 s1 = id", 1
+    yield 0, _after(s10, s00), _after(s11, s00), "s0 s0 = s1 s0", 2
+
+
+def validate(s: TruncSSet):
+    """Check every truncated simplicial identity; return violation messages,
+    level by level in the order 0, 2, 1 in which the table first names
+    them."""
+    rows = sorted(_identities(s), key=lambda row: (0, 2, 1).index(row[0]))
     out = []
-    for n, rows in laws:
-        for k, x, (lhs, rhs, law, m) in _mismatches(levels[n], rows):
-            out.append(f"{law} fails at {x!r}: {levels[m][lhs[k]]!r} != {levels[m][rhs[k]]!r}")
+    for k, x, (n, lhs, rhs, law, m) in _mismatches(s, rows):
+        # a law with an identity side says which level it is about
+        name = f"{law} on S{n}" if law.endswith("= id") else law
+        vals = s.level(m)
+        out.append(f"{name} fails at {x!r}: {vals[lhs[k]]!r} != {vals[rhs[k]]!r}")
     return out
+
+
+def _squares(s: TruncSSet, t: TruncSSet, h, flip):
+    """The squares of level maps ``s -> t`` given by position, ``h[n][k]``
+    being the position in ``t`` of the image of the k-th n-simplex of
+    ``s``, as rows ``(n, lhs, rhs, op)``: ``op`` on ``t`` after ``h_n``
+    against ``h`` after the matching operator on the n-simplices of ``s``.
+    Faces come first, then degeneracies, one row at a time.  Covariant
+    maps match ``op`` with the same operator; contravariant ones (``flip``)
+    with the opposite one, of index ``n - i``."""
+    sv, tv = s._positions_view(), t._positions_view()
+    for n, i in FACE_KEYS:
+        j = n - i if flip else i
+        yield n, _after(tv.face[(n, i)], h[n]), _after(h[n - 1], sv.face[(n, j)]), f"d_{i}"
+    for n, i in DEGEN_KEYS:
+        j = n - i if flip else i
+        yield n, _after(tv.degen[(n, i)], h[n]), _after(h[n + 1], sv.degen[(n, j)]), f"s_{i}"
+
+
+def _by_position(m):
+    """The level maps of ``m`` (simplicial or contravariant) by position."""
+    pos = m.target._positions_view().pos
+    return tuple(_images(hn, m.source.level(n), pos[n]) for n, hn in enumerate((m.h0, m.h1, m.h2)))
 
 
 @dataclass
@@ -216,24 +251,8 @@ class SimplicialMap:
 
 
 def validate_simplicial_map(m: SimplicialMap):
-    out = []
-    s, t = m.source, m.target
-    for l in s.s1:
-        for i in (0, 1):
-            if t.d(1, i, m.h1[l]) != m.h0[s.d(1, i, l)]:
-                out.append(f"h does not commute with d_{i} at {l!r}")
-    for w in s.s2:
-        for i in (0, 1, 2):
-            if t.d(2, i, m.h2[w]) != m.h1[s.d(2, i, w)]:
-                out.append(f"h does not commute with d_{i} at {w!r}")
-    for i in s.s0:
-        if t.deg(0, 0, m.h0[i]) != m.h1[s.deg(0, 0, i)]:
-            out.append(f"h does not commute with s_0 at {i!r}")
-    for l in s.s1:
-        for i in (0, 1):
-            if t.deg(1, i, m.h1[l]) != m.h2[s.deg(1, i, l)]:
-                out.append(f"h does not commute with s_{i} at {l!r}")
-    return out
+    rows = _squares(m.source, m.target, _by_position(m), False)
+    return [f"h does not commute with {op} at {x!r}" for _, x, (*_, op) in _mismatches(m.source, rows)]
 
 
 @dataclass
@@ -254,29 +273,8 @@ class ContravariantMap:
 
 
 def validate_contravariant_map(m: ContravariantMap):
-    pos = m.target._positions_view().pos
-    h = tuple(_images(hn, m.source.level(n), pos[n]) for n, hn in enumerate((m.h0, m.h1, m.h2)))
-    return _contravariance(m.source, m.target, h, "contravariance")
-
-
-def _contravariance(s: TruncSSet, t: TruncSSet, h, name):
-    """The contravariance laws of level maps ``s -> t`` given by position:
-    ``h[n][k]`` is the position in ``t`` of the image of the k-th
-    n-simplex of ``s``."""
-    sv, tv = s._positions_view(), t._positions_view()
-    sf, sd, tf, td = sv.face, sv.degen, tv.face, tv.degen
-    h0, h1, h2 = h
-    laws = (
-        (s.s1, [(_after(tf[(1, i)], h1), _after(h0, sf[(1, 1 - i)]), f"d_{i}") for i in (0, 1)]),
-        (s.s2, [(_after(tf[(2, i)], h2), _after(h1, sf[(2, 2 - i)]), f"d_{i}") for i in (0, 1, 2)]),
-        (s.s0, [(_after(td[(0, 0)], h0), _after(h1, sd[(0, 0)]), "s_0")]),
-        (s.s1, [(_after(td[(1, i)], h1), _after(h2, sd[(1, 1 - i)]), f"s_{i}") for i in (0, 1)]),
-    )
-    return [
-        f"{name} fails for {op} at {x!r}"
-        for level, rows in laws
-        for _, x, (_, _, op) in _mismatches(level, rows)
-    ]
+    rows = _squares(m.source, m.target, _by_position(m), True)
+    return [f"contravariance fails for {op} at {x!r}" for _, x, (*_, op) in _mismatches(m.source, rows)]
 
 
 @dataclass
@@ -306,17 +304,13 @@ def _duality_violations(s: TruncSSet, tau: StrictDuality):
     except ValueError as exc:
         return [str(exc)], None
     t1, t2 = _images(tau.tau1, s.s1, pos[1]), _images(tau.tau2, s.s2, pos[2])
-    laws = (
-        (s.s1, [(_after(t1, t1), tuple(range(len(s.s1))), "tau_1")]),
-        (s.s2, [(_after(t2, t2), tuple(range(len(s.s2))), "tau_2")]),
+    rows = (
+        (1, _after(t1, t1), tuple(range(len(s.s1))), "tau_1"),
+        (2, _after(t2, t2), tuple(range(len(s.s2))), "tau_2"),
     )
-    out = [
-        f"{name} is not involutive at {x!r}"
-        for level, rows in laws
-        for _, x, (_, _, name) in _mismatches(level, rows)
-    ]
-    h0 = tuple(range(len(s.s0)))
-    out += _contravariance(s, s, (h0, t1, t2), "duality contravariance")
+    out = [f"{name} is not involutive at {x!r}" for _, x, (*_, name) in _mismatches(s, rows)]
+    rows = _squares(s, s, (tuple(range(len(s.s0))), t1, t2), True)
+    out += [f"duality contravariance fails for {op} at {x!r}" for _, x, (*_, op) in _mismatches(s, rows)]
     return out, (t1, t2)
 
 

@@ -1,8 +1,10 @@
 """Violation messages of the simplicial validators, pinned as exact ordered
 lists on deliberately broken inputs: a bad degeneracy, a family stretched
-over a bigger index, broken dualities on the index and on the levels, and
-zeta maps that miss a face.  The validators read simplices by position;
-these lists fix what they report, naming labels, in which order."""
+over a bigger index, broken dualities on the index and on the levels, zeta
+maps that miss a face, simplicial maps that break a square, and faults at
+one point of a two-point base.  The validators read simplices by position
+and check a family fiber by fiber; these lists fix what they report,
+naming labels, in which order."""
 
 import pytest
 
