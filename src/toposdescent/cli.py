@@ -141,9 +141,11 @@ def _load_span_class(spec, cover):
             for raw in data["spans"]:
                 i, j = dec_label(raw["i"], memo), dec_label(raw["j"], memo)
                 vertex = presheaf_from_json(raw["vertex"], cover.total.base, memo)
-                left = presheaf_map_from_json(raw["left"], vertex, comps[i], memo)
-                right = presheaf_map_from_json(raw["right"], vertex, comps[j], memo)
-                spans.append(ClassSpan(i, j, vertex, left, right))
+                legs = []
+                for k, side in ((i, "left"), (j, "right")):
+                    cod = comps[k]  # an unknown component is reported before a missing leg
+                    legs.append(presheaf_map_from_json(raw[side], vertex, cod, memo))
+                spans.append(ClassSpan(i, j, vertex, *legs))
             return ("one", SpanClassSp(tuple(spans)))
         except (SerializationError, AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{path}: {exc}")
