@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from .descent import (
     SDescentDatum,
     UDescentDatum,
-    action_to_consistent,
-    consistent_to_g_action,
+    _as_action,
+    _as_datum,
+    _equal_on_span_morphisms,
     enumerate_s_descent_data,
-    is_consistent,
     validate_s_descent,
     validate_u_descent,
 )
@@ -297,7 +297,7 @@ def main1_forward(cover: Family, u: UDescentDatum):
     bad = validate_s_descent(fam.base.sset, datum)
     if bad:
         raise ValueError("witnesses do not form a descent datum: " + "; ".join(bad))
-    if not is_consistent(datum, fam):
+    if not _equal_on_span_morphisms(datum, fam):
         raise ValueError("witness datum is not consistent")
     return fam, datum
 
@@ -397,7 +397,7 @@ def main2_equivalence(cover: Family, f: SelfDualFamily, bound: int = 2) -> MainT
         raise ValueError("the family is not a hypercover refinement of the cover")
     pres = g_fundamental_presentation(f)
     sset = f.base.sset
-    data = [d for d in enumerate_s_descent_data(sset, bound) if is_consistent(d, f)]
+    data = [d for d in enumerate_s_descent_data(sset, bound) if _equal_on_span_morphisms(d, f)]
     actions = enumerate_actions(pres, bound)
     mismatches = []
     round_ok = True
@@ -408,22 +408,27 @@ def main2_equivalence(cover: Family, f: SelfDualFamily, bound: int = 2) -> MainT
             frozenset((g, frozenset(m.items())) for g, m in a.gen_action.items()),
         )
 
+    # The searches build valid data and actions, so the round trips read
+    # one as the other unchecked: a consistent datum satisfies the extra
+    # relations of the refined presentation, and an action of it restricts
+    # to a consistent datum.  An image that is no action is not found
+    # among the enumerated ones.
     act_index = {action_key(a): n for n, a in enumerate(actions)}
     to_action = []
     for d in data:
-        a = consistent_to_g_action(d, f, pres)
+        a = _as_action(sset, d)
         n = act_index.get(action_key(a))
         if n is None:
             mismatches.append("functor image is not an enumerated action")
         to_action.append(n)
-        back = action_to_consistent(a, f, pres)
+        back = _as_datum(sset, a)
         if back.carrier != d.carrier or back.s != d.s:
             round_ok = False
     if None not in to_action and len(set(to_action)) != len(actions):
         mismatches.append("functor is not a bijection on objects")
     for a in actions:
-        d = action_to_consistent(a, f, pres)
-        b = consistent_to_g_action(d, f, pres)
+        d = _as_datum(sset, a)
+        b = _as_action(sset, d)
         if b.carrier != a.carrier or b.gen_action != a.gen_action:
             round_ok = False
 

@@ -13,13 +13,19 @@ data are enumerated as family data over that family.  Over a hypercover
 refinement the family data and the cover data determine each other by
 composing with, respectively solving against, the canonical comparison
 maps.
+
+The enumerators trust the slot search: what it builds satisfies every law
+it encodes, so their outputs are not validated again.  Every other public
+entry validates what it is given (the conversions, the transfers between
+family and cover data, and :func:`is_consistent`), since its input may
+come from outside.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IncompatibleFamilyError, InvariantError
+from .errors import IncompatibleFamilyError
 from .fintopos import Family, connected_components, family_components
 from .family import SelfDualFamily, cech_simplicial_family, span_morphism_pairs
 from .groupoid import (
@@ -83,7 +89,7 @@ def s_to_action(sset: TruncSSet, d: SDescentDatum) -> GroupoidAction:
     bad = validate_s_descent(sset, d)
     if bad:
         raise ValueError("invalid descent datum: " + "; ".join(bad))
-    return GroupoidAction(carrier=dict(d.carrier), gen_action={l: dict(d.s[l]) for l in sset.s1})
+    return _as_action(sset, d)
 
 
 def action_to_s(sset: TruncSSet, a: GroupoidAction, pres: GroupoidPresentation = None) -> SDescentDatum:
@@ -91,6 +97,17 @@ def action_to_s(sset: TruncSSet, a: GroupoidAction, pres: GroupoidPresentation =
     bad = validate_action(pres, a)
     if bad:
         raise ValueError("invalid action: " + "; ".join(bad))
+    return _as_datum(sset, a)
+
+
+def _as_action(sset: TruncSSet, d: SDescentDatum) -> GroupoidAction:
+    """The datum read as an action, unchecked: each generator acts by the
+    bijection of its 1-simplex."""
+    return GroupoidAction(carrier=dict(d.carrier), gen_action={l: dict(d.s[l]) for l in sset.s1})
+
+
+def _as_datum(sset: TruncSSet, a: GroupoidAction) -> SDescentDatum:
+    """The action read as a datum, unchecked."""
     return SDescentDatum(carrier=dict(a.carrier), s={l: dict(a.gen_action[l]) for l in sset.s1})
 
 
@@ -315,6 +332,11 @@ def is_consistent(d: SDescentDatum, f: SelfDualFamily) -> bool:
     bad = validate_s_descent(f.base.sset, d)
     if bad:
         raise ValueError("invalid descent datum: " + "; ".join(bad))
+    return _equal_on_span_morphisms(d, f)
+
+
+def _equal_on_span_morphisms(d: SDescentDatum, f: SelfDualFamily) -> bool:
+    """:func:`is_consistent` on a datum already known to be valid."""
     return all(d.s[l] == d.s[t] for l, t in span_morphism_pairs(f.base))
 
 
@@ -325,9 +347,7 @@ def consistent_to_g_action(
     if not is_consistent(d, f):
         raise ValueError("descent datum is not consistent")
     pres = pres or g_fundamental_presentation(f)
-    action = GroupoidAction(
-        carrier=dict(d.carrier), gen_action={l: dict(d.s[l]) for l in f.base.sset.s1}
-    )
+    action = _as_action(f.base.sset, d)
     bad = validate_action(pres, action)
     if bad:
         raise ValueError("datum does not define an action: " + "; ".join(bad))
@@ -341,7 +361,7 @@ def action_to_consistent(
     bad = validate_action(pres, a)
     if bad:
         raise ValueError("invalid action: " + "; ".join(bad))
-    d = SDescentDatum(carrier=dict(a.carrier), s={l: dict(a.gen_action[l]) for l in f.base.sset.s1})
+    d = _as_datum(f.base.sset, a)
     if not is_consistent(d, f):
         raise ValueError("action does not yield a consistent datum")
     return d
@@ -354,7 +374,8 @@ def enumerate_h_descent_data(f: SelfDualFamily, size_bound: int = None, carriers
     Naturality means one bijection per restriction orbit of each component
     of level one; the identity law pins the orbits meeting a degenerate
     image, and the cocycle law becomes composition constraints between
-    orbit slots, solved by backtracking.
+    orbit slots, solved by backtracking.  So every solution is a datum,
+    and none is validated again.
     """
     fam = f.base
     sset = fam.sset
@@ -399,11 +420,7 @@ def enumerate_h_descent_data(f: SelfDualFamily, size_bound: int = None, carriers
             table = sigma.setdefault(l, {})
             for p in fam.h0.base.points:
                 table.setdefault(p, {})
-        cand = HDescentDatum(family=f, carrier=dict(carrier), sigma_hat=sigma)
-        problems = validate_h_descent(cand)
-        if problems:
-            raise InvariantError("; ".join(problems))
-        out.append(cand)
+        out.append(HDescentDatum(family=f, carrier=dict(carrier), sigma_hat=sigma))
     return out
 
 

@@ -26,7 +26,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 
-from .errors import ConditionGFailure, InvariantError
+from .errors import ConditionGFailure
 from .fintopos import label_key, union_find
 from .simplicial import TruncSSet
 
@@ -244,14 +244,34 @@ def _apply(gen_action, letters, x, inverses):
 def solve_bijection_slots(domains, comp_constraints, eq_pairs=()):
     """All assignments of one value per slot satisfying composition
     constraints ``(a, b, c)`` (choice[b] after choice[a] equals choice[c])
-    and equality pairs; depth-first, checking each constraint as soon as
-    its last slot is assigned."""
-    by_last = {}
-    for a, b, c in comp_constraints:
-        by_last.setdefault(max(a, b, c), []).append((a, b, c))
-    eq_by_last = {}
+    and equality pairs, in the order of the product of the domains.
+
+    Each slot ranges over bijections between two fixed sets, and each
+    constraint is well typed.  The search is depth-first and checks each
+    constraint as soon as its last slot is assigned.  A slot that closes
+    an equality pair with another slot, or a composition constraint in
+    which it occurs once, is forced: the earlier slots fix the one value
+    that can pass, which is looked up in the domain instead of trying
+    every value (forward checking), and only the other constraints are
+    checked on it.
+    """
+    eq_by_last, by_last = {}, {}
     for a, b in eq_pairs:
         eq_by_last.setdefault(max(a, b), []).append((a, b))
+    for a, b, c in comp_constraints:
+        by_last.setdefault(max(a, b, c), []).append((a, b, c))
+    rules, checks, lookup = [], [], []
+    for k, domain in enumerate(domains):
+        eqs, comps = eq_by_last.get(k, []), by_last.get(k, [])
+        rule = _forcing_rule(k, eqs, comps)
+        rules.append(rule)
+        forcing = rule[3] if rule else None
+        checks.append(([e for e in eqs if e != forcing], [t for t in comps if t != forcing]))
+        index = {}
+        if rule:
+            for value in domain:
+                index.setdefault(frozenset(value.items()), []).append(value)
+        lookup.append(index)
     out = []
     assigned = [None] * len(domains)
 
@@ -259,17 +279,54 @@ def solve_bijection_slots(domains, comp_constraints, eq_pairs=()):
         if k == len(domains):
             out.append(tuple(assigned))
             return
-        for choice in domains[k]:
+        rule = rules[k]
+        if rule is None:
+            choices = domains[k]
+        else:
+            choices = lookup[k].get(frozenset(_forced_value(rule, assigned).items()), ())
+        eqs, comps = checks[k]
+        for choice in choices:
             assigned[k] = choice
-            if all(assigned[a] == assigned[b] for a, b in eq_by_last.get(k, ())) and all(
+            if all(assigned[a] == assigned[b] for a, b in eqs) and all(
                 {x: assigned[b][y] for x, y in assigned[a].items()} == assigned[c]
-                for a, b, c in by_last.get(k, ())
+                for a, b, c in comps
             ):
                 extend(k + 1)
         assigned[k] = None
 
     extend(0)
     return out
+
+
+def _forcing_rule(k, eqs, comps):
+    """How slot ``k`` is forced, as (kind, other slot, other slot,
+    constraint), or None: by an equality pair with another slot, else by
+    a composition constraint in which ``k`` occurs once."""
+    for a, b in eqs:
+        if a != b:
+            return ("eq", a if b == k else b, None, (a, b))
+    for a, b, c in comps:
+        if (a, b, c).count(k) == 1:
+            if k == c:
+                return ("c", a, b, (a, b, c))
+            return ("a", b, c, (a, b, c)) if k == a else ("b", a, c, (a, b, c))
+    return None
+
+
+def _forced_value(rule, assigned):
+    """The one value that satisfies the forcing constraint, given the
+    values of its other two slots (bijections, so inverses exist)."""
+    kind, p, q, _ = rule
+    m = assigned[p]
+    if kind == "eq":
+        return m
+    n = assigned[q]
+    if kind == "c":  # n after m
+        return {x: n[y] for x, y in m.items()}
+    if kind == "a":  # m after the slot is n: the inverse of m after n
+        inverse = {y: x for x, y in m.items()}
+        return {x: inverse[z] for x, z in n.items()}
+    return {y: n[x] for x, y in m.items()}  # the slot after m is n
 
 
 def solve_carrier_slots(
@@ -287,6 +344,8 @@ def solve_carrier_slots(
     pinned.  Returns the ``(carrier, combo)`` solutions, carrier by carrier.
     """
     if carriers is None:
+        if size_bound is None:
+            raise ValueError("neither size_bound nor carriers is given")
         find, union = union_find(objects)
         for i, j in sized:
             union(i, j)
@@ -295,6 +354,11 @@ def solve_carrier_slots(
         sizes = itertools.product(range(size_bound + 1), repeat=len(roots))
         carrier_list = [{i: tuple(range(ns[c])) for i, c in zip(objects, component)} for ns in sizes]
     else:
+        for i in objects:
+            if i not in carriers:
+                raise ValueError(f"the fixed carriers miss the object {i!r}")
+            if len(set(carriers[i])) != len(carriers[i]):
+                raise ValueError(f"the fixed carrier at {i!r} lists an element twice")
         carrier_list = [dict(carriers)]
     comp_constraints, eq_pairs = sorted(comp_constraints), sorted(eq_pairs)
     out = []
@@ -319,7 +383,8 @@ def enumerate_actions(p: GroupoidPresentation, size_bound: int, carriers=None):
     Identity generators are pinned to the identity; relations whose sides
     are short positive words become equality or composition constraints for
     a backtracking search, and any remaining relations are checked on the
-    solutions.  Deduplication is by equality of raw data, not isomorphism.
+    solutions.  So every solution is an action, and none is validated
+    again.  Deduplication is by equality of raw data, not isomorphism.
     Every action holds its own generator maps.
     """
     slot_of = {g: k for k, g in enumerate(p.generators)}
@@ -357,9 +422,6 @@ def enumerate_actions(p: GroupoidPresentation, size_bound: int, carriers=None):
             for wa, wb in leftover
         ):
             continue
-        problems = validate_action(p, cand)
-        if problems:
-            raise InvariantError("; ".join(problems))
         out.append(cand)
     return out
 

@@ -1,6 +1,9 @@
 """Shared fixtures: small posets, covers, simplicial sets, descent data."""
 
+import itertools
+
 import pytest
+from hypothesis import reject, strategies as st
 
 import toposdescent as td
 
@@ -205,6 +208,52 @@ def generated_covers():
         )
     )
     return out
+
+
+@st.composite
+def small_covers(draw):
+    """Covers of at most 4 elements over posets of at most 4 points built
+    with ``FinPoset.from_pairs``, with up to three components whose fibers
+    hold at most 2 elements, every point covered.
+
+    Points are placed bottom-up; each element at a point restricts to a
+    drawn compatible family of elements below it, so the restrictions are
+    natural by construction."""
+    names = "abcd"[: draw(st.integers(1, 4))]
+    below = [(p, q) for n, p in enumerate(names) for q in names[n + 1 :]]
+    poset = td.FinPoset.from_pairs(names, draw(st.lists(st.sampled_from(below), unique=True)) if below else ())
+    tags = "uvw"[: draw(st.integers(1, 3))]
+    budget, covered, parts = 4, set(), {}
+    for tag in tags:
+        fibers, rest = {}, {}
+        for r in names:
+            lower = [p for p in names if p != r and poset.leq(p, r)]
+            families = [
+                dict(zip(lower, xs))
+                for xs in itertools.product(*(fibers[p] for p in lower))
+                if all(
+                    rest[(p, q)][xs[lower.index(q)]] == xs[lower.index(p)]
+                    for p in lower
+                    for q in lower
+                    if p != q and poset.leq(p, q)
+                )
+            ]
+            least = 1 if tag == tags[-1] and r not in covered else 0
+            most = min(2, budget) if families else 0
+            if least > most:
+                reject()
+            fibers[r] = tuple(f"{tag}{r}{k}" for k in range(draw(st.integers(least, most))))
+            budget -= len(fibers[r])
+            if fibers[r]:
+                covered.add(r)
+            for p in lower:
+                rest[(p, r)] = {}
+            for e in fibers[r]:
+                for p, x in draw(st.sampled_from(families)).items():
+                    rest[(p, r)][e] = x
+        if any(fibers.values()):
+            parts[tag] = td.Presheaf(poset, fibers, rest)
+    return td.family_from_parts(poset, parts)
 
 
 @pytest.fixture(scope="session")
