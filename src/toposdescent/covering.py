@@ -15,6 +15,7 @@ fundamental groupoid, by exhaustive verification at a carrier bound.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .descent import (
@@ -302,6 +303,80 @@ def main1_forward(cover: Family, u: UDescentDatum):
     return fam, datum
 
 
+def _orbits(objects, gens, ends, carr, act):
+    """The orbits of a structure's carriers under its generators, in the
+    order of their first element (object by object, element by element in
+    carrier order), each as ``(shape, members)``.
+
+    ``members`` lists the orbit's elements ``(i, x)`` by position: the first
+    element, then the others in the order a breadth-first walk along the
+    generators, forwards and then backwards, reaches them.  The shape drops
+    the labels: it holds the object at each position, how each later
+    position is reached, as ``(from, g, forwards)``, and the other
+    generator links ``(from, g, to)``.  Orbits that differ only in their
+    labels have equal shapes.
+    """
+    moves = {(i, x): [] for i in objects for x in carr[i]}
+    for g in gens:
+        i, j = ends(g)
+        for x in carr[i]:
+            moves[i, x].append((g, True, (j, act[g][x])))
+    for g in gens:
+        i, j = ends(g)
+        for x in carr[i]:
+            moves[j, act[g][x]].append((g, False, (i, x)))
+    out, seen = [], set()
+    for root in moves:
+        if root in seen:
+            continue
+        members, pos, tree, links = [root], {root: 0}, [], []
+        for k, v in enumerate(members):
+            for g, forwards, w in moves[v]:
+                if w not in pos:
+                    pos[w] = len(members)
+                    members.append(w)
+                    tree.append((k, g, forwards))
+                elif forwards:
+                    links.append((k, g, pos[w]))
+        seen.update(members)
+        shape = (tuple(i for i, _ in members), tuple(tree), tuple(links))
+        out.append((shape, members))
+    return out
+
+
+def _inverses(gens, act):
+    """The inverse of each generator map of a target structure; going
+    backwards along a generator needs its map injective."""
+    out = {}
+    for g in gens:
+        out[g] = {y: x for x, y in act[g].items()}
+        if len(out[g]) != len(act[g]):
+            raise InvariantError(f"the second structure's map of {g!r} is not injective")
+    return out
+
+
+def _shape_images(shape, carr, act, inverse):
+    """The values, by position, of each map from an orbit of this shape
+    that commutes with the target structure ``(carr, act)``: the root takes
+    each value in target carrier order, the value is pushed along the
+    generators (backwards through ``inverse``), and it succeeds if every
+    position lands in its carrier and every other link commutes."""
+    objs, tree, links = shape
+    allowed = [set(carr[i]) for i in objs]
+    out = []
+    for y in carr[objs[0]]:
+        values = [y]
+        for k, g, forwards in tree:
+            step = act[g] if forwards else inverse[g]
+            if values[k] not in step or step[values[k]] not in allowed[len(values)]:
+                break
+            values.append(step[values[k]])
+        else:
+            if all(values[k] in act[g] and act[g][values[k]] == values[w] for k, g, w in links):
+                out.append(values)
+    return out
+
+
 def _structure_maps_commute(objects, gens, ends, carr1, carr2, act1, act2):
     """Families of carrier maps commuting with the two structures, in the
     order of the product of the carriers' maps: lexicographic in the
@@ -309,59 +384,48 @@ def _structure_maps_commute(objects, gens, ends, carr1, carr2, act1, act2):
     element in ``carr1`` order.
 
     A commuting family is fixed on each orbit of ``carr1`` by its value at
-    one element.  So the search branches on an element only if no earlier
-    choice fixed it, and propagates every choice along each generator,
-    forwards through ``act2[g]`` and backwards through its inverse; a
-    conflict rejects the choice.  Going backwards needs ``act2[g]``
-    injective, which a generator map of an action is.
+    the orbit's first element, and orbits are independent.  So the
+    families are the product of the images of the orbits
+    (``_shape_images``), taken in the order of each orbit's first element.
+    A target generator map that is not injective raises ``InvariantError``.
     """
-    # links[(i, x)]: pairs (w, image) such that the value y at x fixes the
-    # value at w to image[y]
-    links = {(i, x): [] for i in objects for x in carr1[i]}
-    for g in gens:
-        i, j = ends(g)
-        inverse = {y: x for x, y in act2[g].items()}
-        if len(inverse) != len(act2[g]):
-            raise InvariantError(f"the second structure's map of {g!r} is not injective")
-        for x in carr1[i]:
-            links[i, x].append(((j, act1[g][x]), act2[g]))
-            links[j, act1[g][x]].append(((i, x), inverse))
-    allowed = {i: set(carr2[i]) for i in objects}
-    variables = list(links)
-    value, out = {}, []
+    inverse = _inverses(gens, act2)
+    images = [
+        [dict(zip(members, values)) for values in _shape_images(shape, carr2, act2, inverse)]
+        for shape, members in _orbits(objects, gens, ends, carr1, act1)
+    ]
+    out = []
+    for combo in itertools.product(*images):
+        value = {}
+        for part in combo:
+            value.update(part)
+        out.append({i: {x: value[i, x] for x in carr1[i]} for i in objects})
+    return out
 
-    def fix(v, y, trail):
-        todo = [(v, y)]
-        while todo:
-            v, y = todo.pop()
-            if v in value:
-                if value[v] != y:
-                    return False
-                continue
-            if y not in allowed[v[0]]:
-                return False
-            value[v] = y
-            trail.append(v)
-            for w, image in links[v]:
-                if y not in image:
-                    return False
-                todo.append((w, image[y]))
-        return True
 
-    def search(k):
-        while k < len(variables) and variables[k] in value:
-            k += 1
-        if k == len(variables):
-            out.append({i: {x: value[i, x] for x in carr1[i]} for i in objects})
-            return
-        for y in carr2[variables[k][0]]:
-            trail = []
-            if fix(variables[k], y, trail):
-                search(k + 1)
-            for v in trail:
-                del value[v]
+def _hom_counts(objects, gens, ends, structures):
+    """The number of commuting carrier-map families between every ordered
+    pair of ``(carr, act)`` structures, keyed ``(n1, n2)`` with ``n1``
+    varying slowest: ``len(_structure_maps_commute(...))`` without listing
+    the maps.
 
-    search(0)
+    Each count is the product over the orbits of the source of the number
+    of root values that propagate through the target.  The orbits of each
+    structure are read once, and each target solves each distinct orbit
+    shape once.  Every target's generator maps are checked injective.
+    """
+    shapes = [[shape for shape, _ in _orbits(objects, gens, ends, carr, act)] for carr, act in structures]
+    inverses = [_inverses(gens, act) for _, act in structures]
+    solved = [{} for _ in structures]
+    out = {}
+    for n1, row in enumerate(shapes):
+        for n2, (carr, act) in enumerate(structures):
+            known, count = solved[n2], 1
+            for shape in row:
+                if shape not in known:
+                    known[shape] = len(_shape_images(shape, carr, act, inverses[n2]))
+                count *= known[shape]
+            out[n1, n2] = count
     return out
 
 
@@ -387,7 +451,11 @@ class MainTwoReport:
 def main2_equivalence(cover: Family, f: SelfDualFamily, bound: int = 2) -> MainTwoReport:
     """Verify, by exhaustive enumeration at the carrier bound, that the
     consistent index descent data over the refinement and the actions of
-    its refined fundamental groupoid form isomorphic categories."""
+    its refined fundamental groupoid form isomorphic categories.
+
+    Hom sets are counted, not listed (``_hom_counts``): a datum is the
+    coproduct of its orbits, so each count is a product of per-orbit
+    counts.  A negative bound raises ``ValueError``."""
     from .family import condition_g
     from .hypercover import is_hypercover
 
@@ -436,13 +504,8 @@ def main2_equivalence(cover: Family, f: SelfDualFamily, bound: int = 2) -> MainT
     if not mismatches:
         # Each datum matched an action with equal carriers and generator
         # maps, so one count serves the hom set on both sides.
-        for n1, d1 in enumerate(data):
-            for n2, d2 in enumerate(data):
-                hom_d[(n1, n2)] = hom_a[(n1, n2)] = len(
-                    _structure_maps_commute(
-                        sset.s0, sset.s1, sset.endpoints, d1.carrier, d2.carrier, d1.s, d2.s
-                    )
-                )
+        hom_d = _hom_counts(sset.s0, sset.s1, sset.endpoints, [(d.carrier, d.s) for d in data])
+        hom_a = dict(hom_d)
     return MainTwoReport(
         object_count_data=len(data),
         object_count_actions=len(actions),

@@ -342,7 +342,10 @@ def solve_carrier_slots(
     Slot ``k`` ranges over the bijections from the carrier at
     ``ends[k][0]`` to the one at ``ends[k][1]``, or is the identity if
     pinned.  Returns the ``(carrier, combo)`` solutions, carrier by carrier.
+    A negative ``size_bound`` raises ``ValueError``.
     """
+    if size_bound is not None and size_bound < 0:
+        raise ValueError(f"the size bound {size_bound!r} is negative")
     if carriers is None:
         if size_bound is None:
             raise ValueError("neither size_bound nor carriers is given")

@@ -80,6 +80,27 @@ def test_carrier_arguments_are_checked_on_entry():
         groupoid.enumerate_actions(pres, None)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda cover, ref: solve_carrier_slots(("1",), [], [], set(), [], size_bound=-1),
+        lambda cover, ref: groupoid.enumerate_actions(td.g_fundamental_presentation(ref), -1),
+        lambda cover, ref: td.classifying_category(td.g_fundamental_presentation(ref), -1),
+        lambda cover, ref: td.enumerate_s_descent_data(ref.base.sset, -1),
+        lambda cover, ref: td.enumerate_h_descent_data(ref, -1),
+        lambda cover, ref: td.enumerate_u_descent_data(cover, -1),
+        lambda cover, ref: td.main2_equivalence(cover, ref, -1),
+    ],
+    ids=["solve_carrier_slots", "enumerate_actions", "classifying_category", "enumerate_s_descent_data",
+         "enumerate_h_descent_data", "enumerate_u_descent_data", "main2_equivalence"],
+)
+def test_negative_bound_is_refused(fixture_cover, entry):
+    # a negative bound used to admit no carrier at all, and so gave empty
+    # enumerations and a vacuous main2 verdict
+    with pytest.raises(ValueError, match="the size bound -1 is negative"):
+        entry(fixture_cover, td.connected_refinement(fixture_cover))
+
+
 def test_fixed_carriers_must_cover_every_object(fixture_cover):
     sset = td.cech_nerve(fixture_cover)[0]
     with pytest.raises(ValueError, match="miss the object '1'"):

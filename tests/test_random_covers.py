@@ -1,11 +1,13 @@
-"""Two correspondences of the paper on random small covers.
+"""Correspondences of the paper on random small covers.
 
 Over the connected refinement of a cover (a hypercover refinement), family
 descent data and cover descent data determine each other, so the two
 enumerations have the same size; and the consistent index data match the
-actions of the refined fundamental groupoid (``main2_equivalence``).  The
-covers come from ``conftest.small_covers``; the profile is derandomized, so
-every run draws the same examples.
+actions of the refined fundamental groupoid (``main2_equivalence``).
+Gluing a cover datum and reading it back off the trivializations gives the
+datum, and the glued object is a covering projection.  The covers come
+from ``conftest.small_covers``; the profile is derandomized, so every run
+draws the same examples.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -34,3 +36,15 @@ def test_u_data_and_h_data_have_the_same_size(cover):
 def test_consistent_data_match_the_refined_actions(cover):
     rep = td.main2_equivalence(cover, td.connected_refinement(cover), 2)
     assert rep.ok
+
+
+# Gluing rebuilds the Čech nerve of the cover for every datum, so this one
+# draws fewer covers to stay within about a second.
+@settings(GATE, max_examples=60)
+@given(small_covers())
+def test_glue_then_extract_gives_the_datum_back(cover):
+    for u in td.enumerate_u_descent_data(cover, 2):
+        back = td.extract_descent(td.glue(cover, u))
+        assert back.carrier == u.carrier
+        assert back.sigma == u.sigma
+        assert td.is_covering_projection(cover, u)

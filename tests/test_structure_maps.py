@@ -4,7 +4,9 @@
 with two structures by propagating each choice along the generators.  The
 oracle lists every family of carrier maps in ``itertools.product`` order and
 keeps those that commute; the search must give the same list, with each dict
-in the same insertion order."""
+in the same insertion order.  ``_hom_counts``, which ``main2_equivalence``
+uses, counts the families as a product over orbits without listing them; its
+counts must be the lengths of the oracle's lists."""
 
 import itertools
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toposdescent as td
-from toposdescent.covering import _structure_maps_commute
+from toposdescent.covering import _hom_counts, _structure_maps_commute
 from toposdescent.errors import InvariantError
 from conftest import generated_covers
 
@@ -125,3 +127,59 @@ def test_non_injective_generator_map_is_an_invariant_error():
     act1 = {"g": {0: 1, 1: 0}}
     with pytest.raises(InvariantError):
         _structure_maps_commute(objects, gens, ends, carr, carr, act1, {"g": {0: 0, 1: 0}})
+
+
+def _check_count(objects, gens, ends, carr1, carr2, act1, act2):
+    counts = _hom_counts(objects, gens, ends, [(carr1, act1), (carr2, act2)])
+    assert counts[0, 1] == len(generate_and_test(objects, gens, ends, carr1, carr2, act1, act2))
+    return counts[0, 1]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(structure_pairs())
+def test_orbit_counts_match_the_oracle_on_random_structures(args):
+    _check_count(*args)
+
+
+def test_main2_input_counts_match_the_oracle(fixture_cover):
+    ref = td.connected_refinement(fixture_cover)
+    sset = ref.base.sset
+    data = [d for d in td.enumerate_s_descent_data(sset, 2) if td.is_consistent(d, ref)]
+    counts = [
+        _check_count(sset.s0, sset.s1, sset.endpoints, d1.carrier, d2.carrier, d1.s, d2.s)
+        for d1, d2 in itertools.product(data, repeat=2)
+    ]
+    assert max(counts) > 1
+
+
+def test_bound_three_hom_table_is_the_listed_one(fixture_cover):
+    # at bound 3 data have up to three orbits, so the hom counts are real
+    # products (up to 27); at bound 2 they are nearly all 0 or 1
+    ref = td.connected_refinement(fixture_cover)
+    sset = ref.base.sset
+    rep = td.main2_equivalence(fixture_cover, ref, 3)
+    data = [d for d in td.enumerate_s_descent_data(sset, 3) if td.is_consistent(d, ref)]
+    listed = {
+        (n1, n2): len(_structure_maps_commute(sset.s0, sset.s1, sset.endpoints, d1.carrier, d2.carrier, d1.s, d2.s))
+        for n1, d1 in enumerate(data)
+        for n2, d2 in enumerate(data)
+    }
+    assert rep.ok
+    assert list(rep.hom_counts_data.items()) == list(listed.items())
+    assert rep.hom_counts_actions == listed
+    assert max(listed.values()) == 27
+
+
+@pytest.mark.parametrize("carr1", [{"a": (0, 1)}, {"a": ()}], ids=["orbits", "empty-source"])
+def test_non_injective_target_map_is_an_invariant_error_when_counting(carr1):
+    objects, gens = ("a",), ("g",)
+
+    def ends(g):
+        return ("a", "a")
+
+    act1 = {"g": dict(zip(carr1["a"], reversed(carr1["a"])))}
+    bad = {"g": {0: 0, 1: 0}}
+    with pytest.raises(InvariantError, match="not injective"):
+        _hom_counts(objects, gens, ends, [(carr1, act1), ({"a": (0, 1)}, bad)])
+    with pytest.raises(InvariantError, match="not injective"):
+        _structure_maps_commute(objects, gens, ends, carr1, {"a": (0, 1)}, act1, bad)
