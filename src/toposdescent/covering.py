@@ -313,8 +313,8 @@ def _orbits(objects, gens, ends, carr, act):
     generators, forwards and then backwards, reaches them.  The shape drops
     the labels: it holds the object at each position, how each later
     position is reached, as ``(from, g, forwards)``, and the other
-    generator links ``(from, g, to)``.  Orbits that differ only in their
-    labels have equal shapes.
+    generator links ``(from, g, to)``.  Two orbits that correspond along the
+    generators, first element to first element, have equal shapes.
     """
     moves = {(i, x): [] for i in objects for x in carr[i]}
     for g in gens:

@@ -38,8 +38,8 @@ def test_consistent_data_match_the_refined_actions(cover):
     assert rep.ok
 
 
-# Gluing rebuilds the Čech nerve of the cover for every datum, so this one
-# draws fewer covers to stay within about a second.
+# Gluing, reading back and each validation rebuild the Čech nerve of the
+# cover for every datum, so this one draws fewer covers to stay near a second.
 @settings(GATE, max_examples=60)
 @given(small_covers())
 def test_glue_then_extract_gives_the_datum_back(cover):
