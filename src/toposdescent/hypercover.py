@@ -237,25 +237,91 @@ def _check_closure(spans, comps):
         raise ClosureError("; ".join(sorted(set(missing))))
 
 
+def _hom_lists(vertices):
+    """``hom_list(ci, key, target)``: the maps from ``vertices[ci]`` to
+    ``target`` in ``hom_enumerate`` order and their ordinals by map key,
+    enumerated once per ``(ci, key)``."""
+    homs = {}
+
+    def hom_list(ci, key, target):
+        if (ci, key) not in homs:
+            lst = hom_enumerate(vertices[ci], target)
+            homs[(ci, key)] = (lst, {m.key(): o for o, m in enumerate(lst)})
+        return homs[(ci, key)]
+
+    return hom_list
+
+
+def _two_simplices(by_pair, index, span, vertices, hom_list):
+    """The commuting two-storey spans over each triangle boundary.
+
+    For each triple ``(l, t, r)`` of ``_composable_triples(by_pair,
+    index)``, in that order, yields the triple and the list of ``(ci, (xo,
+    mx), (yo, my), (zo, mz))``, in the order of ``ci``, ``xo``, ``yo``,
+    ``zo``: maps from ``vertices[ci]`` to the vertices of ``span(l)``,
+    ``span(t)`` and ``span(r)`` with ``l.left mx = t.left my``, ``l.right mx
+    = r.left mz`` and ``t.right my = r.right mz``.  ``xo`` is the place of
+    ``mx`` among the maps ``hom_list`` lists into its target, and so on.
+    These are the maps from ``vertices[ci]`` into ``_triangle_limit`` of the
+    triple, read componentwise.
+
+    The maps from each vertex into each span and the values of their legs
+    are worked out once per span, grouped by left leg and by both legs, and
+    a triple tries only the vertices that map into all three of its spans.
+    """
+    leg_ids, joins = {}, {}
+
+    def leg_id(leg, m, points):
+        # a leg is named by its values along the fibers of its domain,
+        # interned, so the join compares small ints
+        values = tuple(leg.comp[p][m.comp[p][e]] for p in points for e in m.dom.fibers[p])
+        return leg_ids.setdefault(values, len(leg_ids))
+
+    def legs(item):
+        if item not in joins:
+            s = span(item)
+            target, points = ("vtx", s.vertex.key()), s.vertex.base.points
+            rows, by_left, by_legs = {}, {}, {}
+            for ci in range(len(vertices)):
+                row, left, both = [], {}, {}
+                for o, m in enumerate(hom_list(ci, target, s.vertex)[0]):
+                    kl, kr = leg_id(s.left, m, points), leg_id(s.right, m, points)
+                    row.append((o, m, kl, kr))
+                    left.setdefault(kl, []).append((o, m, kr))
+                    both.setdefault((kl, kr), []).append((o, m))
+                if row:
+                    rows[ci], by_left[ci], by_legs[ci] = row, left, both
+            joins[item] = rows, by_left, by_legs
+        return joins[item]
+
+    for l, t, r in _composable_triples(by_pair, index):
+        xs, ys, zs = legs(l)[0], legs(t)[1], legs(r)[2]
+        out = []
+        for ci in sorted(xs.keys() & ys.keys() & zs.keys()):
+            y_by_left, z_by_legs = ys[ci], zs[ci]
+            for xo, mx, kxl, kxr in xs[ci]:
+                for yo, my, kyr in y_by_left.get(kxl, ()):
+                    for zo, mz in z_by_legs.get((kxr, kyr), ()):
+                        out.append((ci, (xo, mx), (yo, my), (zo, mz)))
+        yield (l, t, r), out
+
+
 def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
     """Assemble the self-dual simplicial family determined by a span class.
 
     1-simplices are the given spans, 2-simplices all commuting two-storey
-    spans with apex in ``vertices`` over composable boundary spans.  Labels
-    encode the class index of the vertex and the ordinals of the legs in
-    the deterministic hom enumeration, so the output is reproducible.
+    spans with apex in ``vertices`` over composable boundary spans, as the
+    join ``_two_simplices`` lists them.  Labels encode the class index of
+    the vertex and the ordinals of the legs in the deterministic hom
+    enumeration, so the output is reproducible.  The join walks the
+    boundary triangles in label order and lists each one's maps in the
+    order of the vertex index and the leg ordinals, so the 2-simplices come
+    out sorted and are not sorted again.
     """
     comps = family_components(cover)
     base = cover.total.base
     vkeys = {v.key(): ci for ci, v in enumerate(vertices)}
-
-    homs = {}
-
-    def hom_list(ci, target_key, target):
-        if (ci, target_key) not in homs:
-            lst = hom_enumerate(vertices[ci], target)
-            homs[(ci, target_key)] = (lst, {m.key(): o for o, m in enumerate(lst)})
-        return homs[(ci, target_key)]
+    hom_list = _hom_lists(vertices)
 
     span_label = {}
     record = {}
@@ -277,39 +343,12 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
 
     by_pair = _by_pair(s1, lambda lab: (record[lab][0].i, record[lab][0].j))
 
-    # 2-simplices: hash-join the commuting leg triples per boundary triangle.
-    # The triples come in label order, and so do the class indices and leg
-    # ordinals within each, so the 2-simplices are emitted in label order.
     s2_faces = {}
-    cache = {}
-
-    def maps_with_keys(ci_w, s: ClassSpan, lab):
-        if (ci_w, lab) not in cache:
-            lst, _ = hom_list(ci_w, ("vtx", s.vertex.key()), s.vertex)
-            cache[(ci_w, lab)] = [
-                (o, m, s.left.after(m).key(), s.right.after(m).key())
-                for o, m in enumerate(lst)
-            ]
-        return cache[(ci_w, lab)]
-
     index = sorted(comps, key=label_key)
-    for llab, tlab, rlab in _composable_triples(by_pair, index):
-        sl, st, sr = record[llab][0], record[tlab][0], record[rlab][0]
-        for ci_w in range(len(vertices)):
-            xs = maps_with_keys(ci_w, sl, llab)
-            ys = maps_with_keys(ci_w, st, tlab)
-            zs = maps_with_keys(ci_w, sr, rlab)
-            y_by_left = {}
-            for yo, my, kyl, kyr in ys:
-                y_by_left.setdefault(kyl, []).append((yo, my, kyr))
-            z_by_legs = {}
-            for zo, mz, kzl, kzr in zs:
-                z_by_legs.setdefault((kzl, kzr), []).append((zo, mz))
-            for xo, mx, kxl, kxr in xs:
-                for yo, my, kyr in y_by_left.get(kxl, ()):
-                    for zo, mz in z_by_legs.get((kxr, kyr), ()):
-                        wlab = ("sp2", llab, tlab, rlab, ci_w, xo, yo, zo)
-                        s2_faces[wlab] = ((llab, tlab, rlab), ci_w, (mx, my, mz))
+    span = {lab: s for lab, (s, _) in record.items()}
+    for ends, maps in _two_simplices(by_pair, index, span.__getitem__, vertices, hom_list):
+        for ci_w, (xo, mx), (yo, my), (zo, mz) in maps:
+            s2_faces[("sp2", *ends, ci_w, xo, yo, zo)] = (ends, ci_w, (mx, my, mz))
     s2 = tuple(s2_faces)
 
     face = {
@@ -497,7 +536,14 @@ def check_epi_criteria(cover: Family, cls) -> bool:
     """The joint-surjectivity criteria guaranteeing the span refinement is a
     hypercover, computed directly from the class (not from the refinement):
     all maps from class vertices must jointly cover each pairwise product,
-    and each boundary-triangle limit."""
+    and each boundary-triangle limit.
+
+    A map from a vertex into a boundary-triangle limit is a commuting
+    two-storey span, so level two reads the hit sets off the join that
+    builds the 2-simplices of the refinement (``_two_simplices``); no map
+    into a limit is enumerated."""
+    if not isinstance(cls, (SpanClass, SpanClassSp)):
+        raise TypeError(f"expected a SpanClass or a SpanClassSp, got {type(cls).__name__}")
     comps = family_components(cover)
     base = cover.total.base
     index = sorted(comps, key=label_key)
@@ -508,10 +554,8 @@ def check_epi_criteria(cover: Family, cls) -> bool:
     else:
         spans = list(cls.members)
         verts = cls.vertices()
-    by_pair = _by_pair(spans, lambda s: (s.i, s.j))
-
-    def covered(lim, maps):
-        return not _missed(lim, _hit_sets((m.comp for m in maps), base.points))
+    # spans are named by their place in ``spans``
+    by_pair = _by_pair(range(len(spans)), lambda n: (spans[n].i, spans[n].j))
 
     # The spans of a SpanClass pair up every map from a member into the
     # product, so level one reads the pairings for either kind of class.
@@ -519,13 +563,16 @@ def check_epi_criteria(cover: Family, cls) -> bool:
         if not (supp[i] & supp[j]):
             continue
         prod, _, _ = product(comps[i], comps[j])
-        pairings = [pairing([s.left, s.right], prod) for s in by_pair.get((i, j), ())]
-        if not covered(prod, pairings):
+        pairings = [pairing([spans[n].left, spans[n].right], prod) for n in by_pair.get((i, j), ())]
+        if _missed(prod, _hit_sets((m.comp for m in pairings), base.points)):
             return False
-    for sl, st, sr in _composable_triples(by_pair, index):
-        lim = _triangle_limit(base, sl, st, sr)
-        if lim.is_initial():
-            continue
-        if not covered(lim, [m for v in verts for m in hom_enumerate(v, lim)]):
+    joined = _two_simplices(by_pair, index, spans.__getitem__, verts, _hom_lists(verts))
+    for (l, t, r), maps in joined:
+        hit = {p: set() for p in base.points}
+        for ci, (_, mx), (_, my), (_, mz) in maps:
+            for p in base.points:
+                cx, cy, cz = mx.comp[p], my.comp[p], mz.comp[p]
+                hit[p].update((cx[x], cy[x], cz[x]) for x in verts[ci].fibers[p])
+        if _missed(_triangle_limit(base, spans[l], spans[t], spans[r]), hit):
             return False
     return True

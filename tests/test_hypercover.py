@@ -218,14 +218,33 @@ def test_check_epi_criteria(fixture_cover, two_singleton_cover, singleton_cover,
     comps = td.family_components(two_singleton_cover)
     assert td.check_epi_criteria(two_singleton_cover, td.SpanClass((comps["1"], comps["2"])))
 
-    # terminal-only class cannot cover a two-element product
+    # over a point, every element of a product or a triangle limit is the
+    # image of a constant map from any non-empty vertex, so the terminal
+    # alone meets the criteria, and so does any class that contains it
     comps_f = td.family_components(fixture_cover)
-    starving = td.SpanClass((td.terminal_presheaf(pt), comps_f["1"], comps_f["2"]))
+    terminal = td.terminal_presheaf(pt)
+    assert td.check_epi_criteria(fixture_cover, td.SpanClass((terminal,)))
+    with_terminal = td.SpanClass((terminal, comps_f["1"], comps_f["2"]))
+    assert td.check_epi_criteria(fixture_cover, with_terminal)
     # class with the components covers everything over a point
     assert td.check_epi_criteria(fixture_cover, td.SpanClass((comps_f["1"], comps_f["2"])))
 
     single = td.family_components(singleton_cover)
     assert td.check_epi_criteria(singleton_cover, td.SpanClass((single["1"],)))
+
+
+def test_check_epi_criteria_off_a_point(chain_cover):
+    # the representable of the lower point has no element over the upper
+    # one, so its spans miss the product there
+    chain = chain_cover.total.base
+    lower = td.SpanClass((td.representable(chain, "a"),))
+    assert not td.check_epi_criteria(chain_cover, lower)
+
+
+def test_check_epi_criteria_rejects_other_classes(fixture_cover):
+    comps = td.family_components(fixture_cover)
+    with pytest.raises(TypeError, match="list"):
+        td.check_epi_criteria(fixture_cover, [comps["1"]])
 
 
 def test_check_epi_criteria_starved_one_span(two_singleton_cover):
