@@ -7,12 +7,16 @@ restriction and pair keys).  An integer label is read only in the form
 written for it, ``#0`` or ``#-?[1-9][0-9]*``, and a label may nest tuples
 at most ``MAX_LABEL_DEPTH`` deep.
 
-Writers of whole documents (``sset_to_json``, ``selfdual_family_to_json``)
-encode each distinct tuple label once per document, and readers of whole
-documents decode each distinct label string once per document, each
-through a memo that lives only as long as that call; there is no
-process-wide cache.  Readers still build every value through the
-validating public constructors.
+Writers of whole documents (the ``*_to_json`` functions of families,
+simplicial sets, descent data and actions) encode each distinct tuple
+label once per document, and readers of whole documents decode each
+distinct label string once per document, each through a memo that lives
+only as long as that call; there is no process-wide cache.  A reader's
+memo also serves the parts of a new string: an element ``(w,x)`` whose
+simplex ``w`` is already decoded, and a flat sub-tuple already decoded,
+are looked up rather than parsed again, and only where a parse would
+succeed, so the values and errors are those of the parse.  Readers still
+build every value through the validating public constructors.
 """
 
 from __future__ import annotations
@@ -60,21 +64,35 @@ def enc_label(x, memo=None) -> str:
 def dec_label(s: str, memo=None):
     """Decode a label.  ``memo``, when given, is a caller-owned dict from
     strings to their decoded labels: a string met again returns the label
-    decoded the first time.  Only successful decodes are stored, so a bad
-    string raises every time it is met."""
+    decoded the first time, and so do the parts of a new string that were
+    met before.  An element ``(w,x)``, with ``w`` a tuple label in the memo
+    and ``x`` one atom, is read as ``(memo[w], x)``, and a flat sub-tuple
+    ``(...)`` whose text is in the memo takes that label; every other part
+    is scanned, and the errors are those of a scan without the memo.  Only
+    successful decodes of whole strings are stored, so a bad string raises
+    every time it is met."""
     if not isinstance(s, str):
         raise SerializationError(f"label must be a string, not {type(s).__name__}")
     if memo is None:
         return _parse_label(s)
     out = memo.get(s)
     if out is None:
-        out = memo[s] = _parse_label(s)
+        out = memo[s] = _parse_label(s, memo)
     return out
 
 
-def _parse_label(s: str):
+def _parse_label(s: str, memo=None):
     """Scan ``s`` left to right with an explicit stack of open tuples; the
-    first fault met decides the error."""
+    first fault met decides the error.  With a memo, a string or a part of
+    it that a scan would read without fault is looked up instead."""
+    if memo is not None and s[:2] == "((" and s[-1:] == ")" and s.count("(") <= MAX_LABEL_DEPTH:
+        # an element (w,x): w a tuple label already decoded, x one atom
+        cut = s.rfind(",")
+        x = s[cut + 1 : -1]
+        if x and _ATOM.fullmatch(x) and (x[0] != "#" or _INT.fullmatch(x)):
+            w = memo.get(s[1:cut])
+            if w is not None:
+                return (w, int(x[1:]) if x[0] == "#" else x)
     n = len(s)
     stack = []
     pos = 0
@@ -87,11 +105,16 @@ def _parse_label(s: str):
                 raise SerializationError(
                     f"label {s[:20]!r}... nests tuples deeper than {MAX_LABEL_DEPTH} levels"
                 )
-            pos += 1
-            if pos < n and s[pos] == ")":
+            # a flat sub-tuple already decoded takes its label (the text up to
+            # the next ")" is a decoded label only if it is a flat tuple)
+            end = s.find(")", pos) + 1 if memo is not None else 0
+            if end and (value := memo.get(s[pos:end])) is not None:
+                pos = end
+            elif pos + 1 < n and s[pos + 1] == ")":
                 value = ()
-                pos += 1
+                pos += 2
             else:
+                pos += 1
                 stack.append([])
                 continue
         else:
@@ -177,12 +200,15 @@ def presheaf_from_json(d: dict, poset: FinPoset, memo=None) -> Presheaf:
 
 
 def family_to_json(f: Family) -> dict:
+    memo = {}
     return {
         "poset": poset_to_json(f.total.base),
-        "total": presheaf_to_json(f.total),
-        "index": [enc_label(i) for i in f.index],
+        "total": presheaf_to_json(f.total, memo),
+        "index": [enc_label(i, memo) for i in f.index],
         "zeta": {
-            enc_label(p): {enc_label(e): enc_label(f.zeta(p, e)) for e in f.total.fibers[p]}
+            enc_label(p, memo): {
+                enc_label(e, memo): enc_label(f.zeta(p, e), memo) for e in f.total.fibers[p]
+            }
             for p in f.total.base.points
         },
     }
@@ -262,10 +288,15 @@ def presheaf_map_from_json(d: dict, dom: Presheaf, cod: Presheaf, memo=None) -> 
     return PresheafMap(dom, cod, {dec_label(p, memo): _dec_map(m, memo) for p, m in d.items()})
 
 
+def _enc_carriers(carrier: dict, memo) -> dict:
+    return {enc_label(i, memo): [enc_label(r, memo) for r in rs] for i, rs in carrier.items()}
+
+
 def sdescent_to_json(d) -> dict:
+    memo = {}
     return {
-        "carriers": {enc_label(i): [enc_label(r) for r in rs] for i, rs in d.carrier.items()},
-        "s": {enc_label(l): _enc_map(m) for l, m in d.s.items()},
+        "carriers": _enc_carriers(d.carrier, memo),
+        "s": {enc_label(l, memo): _enc_map(m, memo) for l, m in d.s.items()},
     }
 
 
@@ -287,11 +318,14 @@ def sdescent_from_json(d: dict):
 
 
 def udescent_to_json(u) -> dict:
+    memo = {}
     return {
-        "carriers": {enc_label(i): [enc_label(r) for r in rs] for i, rs in u.carrier.items()},
+        "carriers": _enc_carriers(u.carrier, memo),
         "sigma": {
-            enc_label(pair): {
-                enc_label(p): {enc_label(xy): _enc_map(m) for xy, m in table.items()}
+            enc_label(pair, memo): {
+                enc_label(p, memo): {
+                    enc_label(xy, memo): _enc_map(m, memo) for xy, m in table.items()
+                }
                 for p, table in tables.items()
             }
             for pair, tables in u.sigma.items()
@@ -374,9 +408,10 @@ def selfdual_family_from_json(d: dict):
 
 
 def action_to_json(a) -> dict:
+    memo = {}
     return {
-        "carriers": {enc_label(i): [enc_label(r) for r in rs] for i, rs in a.carrier.items()},
-        "actions": {enc_label(g): _enc_map(m) for g, m in a.gen_action.items()},
+        "carriers": _enc_carriers(a.carrier, memo),
+        "actions": {enc_label(g, memo): _enc_map(m, memo) for g, m in a.gen_action.items()},
     }
 
 
@@ -395,11 +430,14 @@ def action_from_json(d: dict):
 
 def hdescent_to_json(d) -> dict:
     """Family descent datum: values keyed by 1-simplex, point, element."""
+    memo = {}
     return {
-        "carriers": {enc_label(i): [enc_label(r) for r in rs] for i, rs in d.carrier.items()},
+        "carriers": _enc_carriers(d.carrier, memo),
         "sigma_hat": {
-            enc_label(l): {
-                enc_label(p): {enc_label(e): _enc_map(m) for e, m in table.items()}
+            enc_label(l, memo): {
+                enc_label(p, memo): {
+                    enc_label(e, memo): _enc_map(m, memo) for e, m in table.items()
+                }
                 for p, table in tables.items()
             }
             for l, tables in d.sigma_hat.items()

@@ -9,8 +9,12 @@ integer labels not in the form ``enc_label`` writes, and tuples nested
 deeper than ``MAX_LABEL_DEPTH``.
 """
 
+import gzip
 import itertools
+import json
+import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +30,8 @@ from toposdescent.serialize import (
     selfdual_family_to_json,
 )
 from conftest import generated_covers
+
+CORPUS_FAMILIES = Path(__file__).resolve().parent.parent / "perfbench" / "corpus" / "families"
 
 
 def ref_parse_label(s: str, pos: int):
@@ -220,3 +226,99 @@ def test_selfdual_round_trip_of_generated_refinements(generated_refinements, zer
     fams = [ref for _, _, ref in generated_refinements] + list(zero_span_refinements.values())
     for fam in fams:
         assert selfdual_family_from_json(selfdual_family_to_json(fam)) == fam
+
+
+# The two memo shortcuts: an element ``(w,x)`` with ``w`` already decoded,
+# and a flat sub-tuple ``(...)`` already decoded.  A string that takes one
+# must decode as the scan without a memo does, and a string that fails
+# must raise the scan's error and leave the memo as it was.
+
+DEEP = "(" * MAX_LABEL_DEPTH + "a" + ")" * MAX_LABEL_DEPTH
+SIMPLICES = ["(sp,1,1,#0,#0,#0)", "(sp2,(sp,1,1,#0,#0,#0),(sp,1,#2),#0,#0)", "()", DEEP]
+TAILS = ["a", "u*", "#0", "#-7", "#01", "#-0", "#", "", "a)b", "(a", "a,b", "(a)", ")", "b>a"]
+
+
+def memo_with(*labels):
+    memo = {}
+    for s in labels:
+        dec_label(s, memo)
+    return memo
+
+
+def test_element_at_the_nesting_limit_still_raises():
+    memo = memo_with(DEEP, "(a)")
+    before = dict(memo)
+    with pytest.raises(SerializationError, match="nests tuples deeper"):
+        dec_label(f"({DEEP},b)", memo)
+    assert memo == before
+
+
+@pytest.mark.parametrize("w", SIMPLICES[:2])
+@pytest.mark.parametrize("s", ["({w},#01)", "({w},)", "({w},a)b", "({w},(a)"])
+def test_malformed_elements_raise_the_scan_error(w, s):
+    s = s.format(w=w)
+    memo = memo_with(w, "(sp,1,1,#0,#0,#0)", "(a)")
+    before = dict(memo)
+    want = outcome(dec_label, s)
+    assert want[0] == "error"
+    if not newly_rejected(s):
+        assert want == outcome(ref_dec_label, s)
+    assert outcome(lambda x: dec_label(x, memo), s) == want
+    assert memo == before
+
+
+@pytest.mark.parametrize("w", SIMPLICES)
+def test_elements_and_sub_tuples_of_decoded_labels(w):
+    """Each simplex in the memo, as the head of an element and as a part
+    anywhere in a longer string, against every kind of tail."""
+    strings = []
+    for x in TAILS:
+        strings += [f"({w},{x})", f"({x},{w})", f"(({w},{x}),{x})", f"({w},{x}", f"({w}{x})"]
+    for s in strings:
+        memo = memo_with(w, "(a)", "(sp,1,1,#0,#0,#0)")
+        before = dict(memo)
+        want = outcome(dec_label, s)
+        if not newly_rejected(s) and s.count("(") <= MAX_LABEL_DEPTH:
+            assert want == outcome(ref_dec_label, s), s
+        assert outcome(lambda y: dec_label(y, memo), s) == want, s
+        if want[0] == "error":
+            assert memo == before, s
+
+
+def test_element_shortcut_shares_the_decoded_simplex():
+    w = SIMPLICES[1]
+    memo = memo_with(w)
+    x = dec_label(f"({w},#3)", memo)
+    assert x == (ref_dec_label(w), 3)
+    assert x[0] is memo[w]
+
+
+def test_document_strings_in_shuffled_orders(generated_refinements, zero_span_refinements):
+    """Every string of the refinement documents, in three fixed shuffled
+    orders, each through one memo shared by the whole order: elements come
+    both before and after their simplices."""
+    strings = set()
+    for _, _, ref in generated_refinements:
+        document_strings(selfdual_family_to_json(ref), strings)
+    for ref in zero_span_refinements.values():
+        document_strings(selfdual_family_to_json(ref), strings)
+    strings = sorted(strings)
+    want = {s: outcome(ref_dec_label, s) for s in strings}
+    for seed in range(3):
+        order = list(strings)
+        random.Random(seed).shuffle(order)
+        memo = {}
+        for s in order:
+            assert outcome(lambda x: dec_label(x, memo), s) == want[s], s
+
+
+def test_committed_corpus_families_round_trip():
+    """Each committed perfbench family (seed 0) decodes and re-encodes to
+    its own bytes, dumped as the corpus is."""
+    paths = sorted(CORPUS_FAMILIES.glob("*.json.gz"))
+    assert len(paths) == 4
+    for path in paths:
+        raw = gzip.decompress(path.read_bytes())
+        fam = selfdual_family_from_json(json.loads(raw))
+        text = json.dumps(selfdual_family_to_json(fam), sort_keys=True, separators=(",", ":"))
+        assert text.encode() == raw, path.name
