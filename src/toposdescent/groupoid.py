@@ -15,9 +15,11 @@ general, so :func:`word_equal` is a three-valued bounded procedure.  It
 first tests the words against the actions of bounded size (finite
 quotients, enumerated once per presentation and bound): one that tells
 them apart certifies inequality.  Otherwise a breadth-first rewriting
-search, which looks up the applicable rules by first letter, certifies
-equality, and failing that the verdict is unknown.  The rewriting search
-is sound, so testing the actions first changes no verdict.
+search certifies equality, and failing that the verdict is unknown.  The
+rewriting search is sound, so testing the actions first changes no
+verdict.  It runs on interned letters, with one rule table per
+presentation that finds the applicable rules by first letter; the
+encoding is a bijection, so it meets the same words in the same order.
 """
 
 from __future__ import annotations
@@ -125,6 +127,13 @@ def fundamental_presentation(s: TruncSSet) -> GroupoidPresentation:
     """Presentation of the fundamental groupoid of a truncated simplicial
     set: generators are 1-simplices, each triangle identifies its long edge
     with the composite of the short ones, degenerate edges are identities."""
+    return _fundamental(s, ())
+
+
+def _fundamental(s: TruncSSet, identified) -> GroupoidPresentation:
+    """The fundamental presentation of ``s`` with one more relation per
+    pair of parallel 1-simplices in ``identified``, after the others;
+    every relation is checked once, by the one constructor call."""
     src = {l: s.d(1, 1, l) for l in s.s1}
     tgt = {l: s.d(1, 0, l) for l in s.s1}
     identities = {i: s.deg(0, 0, i) for i in s.s0}
@@ -134,6 +143,8 @@ def fundamental_presentation(s: TruncSSet) -> GroupoidPresentation:
         relations.append((Word(src[t], ((t, 1),)), Word(src[l], ((l, 1), (r, 1)))))
     for i in s.s0:
         relations.append((Word(i, ((identities[i], 1),)), Word(i, ())))
+    for l, t in identified:
+        relations.append((Word(src[l], ((l, 1),)), Word(src[t], ((t, 1),))))
     return GroupoidPresentation(
         objects=s.s0,
         generators=s.s1,
@@ -153,23 +164,10 @@ def g_fundamental_presentation(sf) -> GroupoidPresentation:
 
     if not condition_g(sf):
         raise ConditionGFailure("the family does not satisfy the filling condition")
-    base = fundamental_presentation(sf.base.sset)
-    extra = []
-    seen = set()
+    identified = {}
     for l, t in span_morphism_pairs(sf.base):
-        key = tuple(sorted((l, t), key=label_key))
-        if key in seen:
-            continue
-        seen.add(key)
-        extra.append((Word(base.src[l], ((l, 1),)), Word(base.src[t], ((t, 1),))))
-    return GroupoidPresentation(
-        objects=base.objects,
-        generators=base.generators,
-        src=base.src,
-        tgt=base.tgt,
-        relations=base.relations + tuple(extra),
-        identities=base.identities,
-    )
+        identified.setdefault(tuple(sorted((l, t), key=label_key)), (l, t))
+    return _fundamental(sf.base.sset, identified.values())
 
 
 @dataclass
@@ -429,42 +427,6 @@ def enumerate_actions(p: GroupoidPresentation, size_bound: int, carriers=None):
     return out
 
 
-def _rules(p: GroupoidPresentation):
-    """Rewrite rules from the relations: both orientations of each pair and
-    of its formal inverse.  Cached on the presentation."""
-    cached = getattr(p, "_rules_cache", None)
-    if cached is not None:
-        return cached
-    rules, seen = [], set()
-    for wa, wb in p.relations:
-        for lhs, rhs in ((wa, wb), (wb, wa)):
-            for rule in ((lhs, rhs), (p.inverse_word(lhs), p.inverse_word(rhs))):
-                if rule[0] != rule[1] and rule not in seen:
-                    seen.add(rule)
-                    rules.append(rule)
-    p._rules_cache = rules
-    return rules
-
-
-def _rule_index(p: GroupoidPresentation):
-    """The rewrite rules with the places they can apply: rule numbers by the
-    first letter of a non-empty left side, and insertion rules (empty left
-    side) by their base object.  Cached on the presentation."""
-    cached = getattr(p, "_rule_index_cache", None)
-    if cached is not None:
-        return cached
-    rules = _rules(p)
-    by_letter, by_object = {}, {}
-    for n, (lhs, _) in enumerate(rules):
-        if lhs.letters:
-            by_letter.setdefault(lhs.letters[0], []).append(n)
-        else:
-            by_object.setdefault(lhs.start, []).append(n)
-    result = (rules, by_letter, by_object)
-    p._rule_index_cache = result
-    return result
-
-
 def _separating_actions(p: GroupoidPresentation, bound: int):
     """The actions with carriers of size at most the bound, as (carrier,
     generator maps, inverse maps built on use).  Enumerated once per bound
@@ -506,44 +468,78 @@ def generator_congruence(p: GroupoidPresentation):
     return result
 
 
-def _object_path(p: GroupoidPresentation, w: Word):
-    path = [w.start]
-    for letter in w.letters:
-        path.append(p.letter_ends(letter)[1])
-    return tuple(path)
+def _rule_table(p: GroupoidPresentation):
+    """The rewrite rules over interned letters, cached on the presentation.
+
+    Generator ``k`` of ``p.generators`` is the letter ``2k`` forwards and
+    ``2k + 1`` backwards, so a letter's inverse is ``a ^ 1``; objects are
+    numbered in ``p.objects`` order.  The rules are both orientations of
+    each relation and of its formal inverse, as (base object, left side,
+    right side), in the order of the relations, the first of each repeat
+    kept and the trivial ones dropped.  Returns (the number of each signed
+    letter, the number of each object, the target of each letter, the
+    rules, rule numbers by the first letter of a non-empty left side,
+    insertion rule numbers by base object)."""
+    cached = getattr(p, "_rule_table_cache", None)
+    if cached is not None:
+        return cached
+    objs = {o: k for k, o in enumerate(p.objects)}
+    code, ends = {}, []
+    for k, g in enumerate(p.generators):
+        code[g, 1], code[g, -1] = 2 * k, 2 * k + 1
+        ends += (objs[p.tgt[g]], objs[p.src[g]])
+    flip = [a ^ 1 for a in range(len(ends))].__getitem__
+    rules, seen, by_letter, by_object = [], set(), {}, {}
+    for wa, wb in p.relations:
+        a, b = tuple(map(code.__getitem__, wa.letters)), tuple(map(code.__getitem__, wb.letters))
+        start = objs[wa.start]
+        end = ends[a[-1]] if a else start
+        for lhs, rhs in ((a, b), (b, a)):
+            inverse = tuple(map(flip, reversed(lhs))), tuple(map(flip, reversed(rhs)))
+            for rule in ((start, lhs, rhs), (end, *inverse)):
+                if rule[1] != rule[2] and rule not in seen:
+                    seen.add(rule)
+                    if rule[1]:
+                        by_letter.setdefault(rule[1][0], []).append(len(rules))
+                    else:
+                        by_object.setdefault(rule[0], []).append(len(rules))
+                    rules.append(rule)
+    result = p._rule_table_cache = (code, objs, ends, rules, by_letter, by_object)
+    return result
 
 
-def _neighbors(p: GroupoidPresentation, w: Word, index):
-    """All words one rewrite away: free reductions and rule applications
-    (including insertions of relation sides at matching objects).
+def _neighbors(table, start, letters):
+    """All words one rewrite away from the interned ``letters`` based at
+    object number ``start``, in the order of the word-form search: free
+    reductions by position, then rule applications (insertions of
+    relation sides included) by rule number, each by position.
 
-    ``index`` is :func:`_rule_index`; only the rules whose first letter
-    occurs in the word, or whose base object lies on its path, can apply,
-    and they are tried in rule order."""
+    ``table`` is :func:`_rule_table`.  A rule is tried only at the
+    positions of its first letter, and an insertion only at the positions
+    on its base object."""
+    _, _, ends, rules, by_letter, by_object = table
     out = []
-    letters = w.letters
-    for k in range(len(letters) - 1):
-        (g1, s1), (g2, s2) = letters[k], letters[k + 1]
-        if g1 == g2 and s1 == -s2:
-            out.append(Word(w.start, letters[:k] + letters[k + 2 :]))
-    path = _object_path(p, w)
-    rules, by_letter, by_object = index
+    at_letter, at_object = {}, {start: [0]}
+    for k, a in enumerate(letters):
+        if k and a ^ letters[k - 1] == 1:
+            out.append(letters[: k - 1] + letters[k + 1 :])
+        at_letter.setdefault(a, []).append(k)
+        at_object.setdefault(ends[a], []).append(k + 1)
     candidates = set()
-    for letter in set(letters):
-        candidates.update(by_letter.get(letter, ()))
-    for obj in set(path):
-        candidates.update(by_object.get(obj, ()))
+    for a in at_letter:
+        candidates.update(by_letter.get(a, ()))
+    for o in at_object:
+        candidates.update(by_object.get(o, ()))
     for r in sorted(candidates):
-        lhs, rhs = rules[r]
-        n = len(lhs.letters)
-        if n == 0:
-            for k in range(len(letters) + 1):
-                if path[k] == lhs.start:
-                    out.append(Word(w.start, letters[:k] + rhs.letters + letters[k:]))
+        base, lhs, rhs = rules[r]
+        n = len(lhs)
+        if n:
+            for k in at_letter[lhs[0]]:
+                if letters[k : k + n] == lhs:
+                    out.append(letters[:k] + rhs + letters[k + n :])
         else:
-            for k in range(len(letters) - n + 1):
-                if letters[k : k + n] == lhs.letters:
-                    out.append(Word(w.start, letters[:k] + rhs.letters + letters[k + n :]))
+            for k in at_object[base]:
+                out.append(letters[:k] + rhs + letters[k:])
     return out
 
 
@@ -566,6 +562,7 @@ def word_equal(
     (capped at ``max_states`` explored words, deterministically): EQUAL if
     it joins the words, UNKNOWN otherwise.  The search only joins equal
     words, so the order of the two phases does not change the verdict.
+    The search runs on tuples of interned letters (:func:`_rule_table`).
     """
     p.check_word(w1)
     p.check_word(w2)
@@ -579,9 +576,11 @@ def word_equal(
         for x in carrier[w1.start]
     ):
         return Verdict.DISTINCT
-    index = _rule_index(p)
-    seen1, seen2 = {w1}, {w2}
-    front1, front2 = [w1], [w2]
+    table = _rule_table(p)
+    code = table[0].__getitem__
+    start, a, b = table[1][w1.start], tuple(map(code, w1.letters)), tuple(map(code, w2.letters))
+    seen1, seen2 = {a}, {b}
+    front1, front2 = [a], [b]
     for _ in range(budget):
         if len(seen1) + len(seen2) > max_states:
             break
@@ -593,7 +592,7 @@ def word_equal(
             grow1 = False
         new = []
         for w in front:
-            for v in _neighbors(p, w, index):
+            for v in _neighbors(table, start, w):
                 if v in other:
                     return Verdict.EQUAL
                 if v not in seen:
