@@ -488,14 +488,13 @@ def _rule_table(p: GroupoidPresentation):
     for k, g in enumerate(p.generators):
         code[g, 1], code[g, -1] = 2 * k, 2 * k + 1
         ends += (objs[p.tgt[g]], objs[p.src[g]])
-    flip = [a ^ 1 for a in range(len(ends))].__getitem__
     rules, seen, by_letter, by_object = [], set(), {}, {}
     for wa, wb in p.relations:
         a, b = tuple(map(code.__getitem__, wa.letters)), tuple(map(code.__getitem__, wb.letters))
         start = objs[wa.start]
         end = ends[a[-1]] if a else start
         for lhs, rhs in ((a, b), (b, a)):
-            inverse = tuple(map(flip, reversed(lhs))), tuple(map(flip, reversed(rhs)))
+            inverse = tuple(x ^ 1 for x in reversed(lhs)), tuple(x ^ 1 for x in reversed(rhs))
             for rule in ((start, lhs, rhs), (end, *inverse)):
                 if rule[1] != rule[2] and rule not in seen:
                     seen.add(rule)

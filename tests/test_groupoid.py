@@ -3,6 +3,7 @@
 import pytest
 
 import toposdescent as td
+from toposdescent.fintopos import label_key
 from conftest import free_dual_edge_sset, free_endo_sset, full_nerve_cover
 
 
@@ -77,6 +78,38 @@ def test_g_fundamental_adds_span_relations(fixture_cover):
     flat = {(a.letters, b.letters) for a, b in extra}
     l, t = picked
     assert ((l, 1),) not in {x for x, y in flat if y == ((t, 1),)}
+
+
+def two_step_g_presentation(ref):
+    """The fundamental presentation of the base, then a second presentation
+    with one relation per span-morphism pair, the first of each unordered
+    pair kept: the construction the one-call builder replaced."""
+    base = td.fundamental_presentation(ref.base.sset)
+    extra, seen = [], set()
+    for l, t in td.span_morphism_pairs(ref.base):
+        key = tuple(sorted((l, t), key=label_key))
+        if key not in seen:
+            seen.add(key)
+            extra.append((td.Word(base.src[l], ((l, 1),)), td.Word(base.src[t], ((t, 1),))))
+    return td.GroupoidPresentation(
+        objects=base.objects,
+        generators=base.generators,
+        src=base.src,
+        tgt=base.tgt,
+        relations=base.relations + tuple(extra),
+        identities=base.identities,
+    )
+
+
+def test_g_fundamental_presentation_checks_each_relation_once(monkeypatch, generated_refinements):
+    checked = []
+    check_word = td.GroupoidPresentation.check_word
+    monkeypatch.setattr(td.GroupoidPresentation, "check_word", lambda p, w: checked.append(w) or check_word(p, w))
+    for name, _, ref in generated_refinements:
+        checked.clear()
+        pres = td.g_fundamental_presentation(ref)
+        assert checked == [w for pair in pres.relations for w in pair], name
+        assert pres == two_step_g_presentation(ref), name
 
 
 def test_generator_inverses_certified(fixture_cover, two_singleton_cover):
