@@ -251,18 +251,14 @@ def cmd_descend(args):
         datum = udescent_from_json(_load_json(args.datum), cover)
     except SerializationError as exc:
         raise InputError(f"{args.datum}: {exc}")
-    if args.mode == "check":
-        violations = validate_u_descent(datum)
+    # --check reports the violations; the other modes stop on them
+    violations = validate_u_descent(datum)
+    if args.mode == "check" or violations:
         report = {"violations": violations}
         _emit(report, args.out)
         if violations:
             raise MathFailure(report)
         return report
-    violations = validate_u_descent(datum)
-    if violations:
-        report = {"violations": violations}
-        _emit(report, args.out)
-        raise MathFailure(report)
     if args.mode == "glue":
         from .covering import glue
         from .serialize import presheaf_to_json

@@ -7,7 +7,10 @@ the quotient legs, and the datum can be read back off the
 trivializations.  An action span is a span over two components on which
 the datum acts by a single bijection; a datum is a covering projection
 when the action spans with representable vertex jointly cover every
-pairwise product.  The forward pipeline turns a covering projection into
+pairwise product.  These functions walk the elements of the pairwise
+products of overlapping components in one order
+(``simplicial._pair_elements``), read off the components without building
+the Čech nerve.  The forward pipeline turns a covering projection into
 a hypercover refinement with an index descent datum; the second pipeline
 matches the consistent index data with the actions of the refined
 fundamental groupoid, by exhaustive verification at a carrier bound.
@@ -32,7 +35,6 @@ from .errors import EmptyComponentError, InvariantError
 from .family import ClassSpan, SelfDualFamily, span_morphism_exists, span_of_1simplex
 from .fintopos import (
     Family,
-    label_key,
     Presheaf,
     PresheafMap,
     constant_presheaf,
@@ -43,7 +45,7 @@ from .fintopos import (
 )
 from .groupoid import enumerate_actions, g_fundamental_presentation
 from .hypercover import SpanClassSp, _unique_by, one_span_refinement, representable_span
-from .simplicial import cech_nerve
+from .simplicial import _overlaps, _pair_elements
 
 
 @dataclass
@@ -78,10 +80,9 @@ def glue(cover: Family, u: UDescentDatum) -> LocallyConstant:
         raise ValueError("invalid descent datum: " + "; ".join(bad))
     comps = family_components(cover)
     base = cover.total.base
-    index = sorted(comps, key=label_key)
     fibers = {
         p: sorted_labels(
-            (i, r, x) for i in index for r in u.carrier[i] for x in comps[i].fibers[p]
+            (i, r, x) for i in cover.index for r in u.carrier[i] for x in comps[i].fibers[p]
         )
         for p in base.points
     }
@@ -92,18 +93,13 @@ def glue(cover: Family, u: UDescentDatum) -> LocallyConstant:
         for (p, q) in base.strict_pairs()
     }
     total = Presheaf(base, fibers, rest)
-    nerve, _ = cech_nerve(cover)
-    pairs = []
-    for i, j in nerve.s1:
-        for p in base.points:
-            for x in comps[i].fibers[p]:
-                for y in comps[j].fibers[p]:
-                    m = u.value(i, j, p, x, y)
-                    for r in u.carrier[i]:
-                        pairs.append((p, (i, r, x), (j, m[r], y)))
-    space, proj = quotient_by_pairs(total, pairs)
+    glued = []
+    for i, j, p, x, y in _pair_elements(base.points, comps, _overlaps(cover.index, comps)[0]):
+        m = u.value(i, j, p, x, y)
+        glued.extend((p, (i, r, x), (j, m[r], y)) for r in u.carrier[i])
+    space, proj = quotient_by_pairs(total, glued)
     theta = {}
-    for i in index:
+    for i in cover.index:
         piece, _, _ = product(constant_presheaf(u.carrier[i], base), comps[i])
         target, _, _ = product(space, comps[i])
         comp = {
@@ -120,7 +116,7 @@ def _theta_violations(lc: LocallyConstant):
     out = []
     comps = family_components(lc.cover)
     base = lc.cover.total.base
-    for i in sorted(comps, key=label_key):
+    for i in comps:
         th = lc.theta.get(i)
         if th is None:
             out.append(f"no trivialization at {i!r}")
@@ -148,28 +144,19 @@ def extract_descent(lc: LocallyConstant) -> UDescentDatum:
         raise ValueError("invalid trivialization: " + "; ".join(bad))
     comps = family_components(lc.cover)
     base = lc.cover.total.base
-    nerve, _ = cech_nerve(lc.cover)
+    pairs, _ = _overlaps(lc.cover.index, comps)
     inv = {
         i: {
             p: {v: k for k, v in lc.theta[i].comp[p].items()}
             for p in base.points
         }
-        for i in sorted(comps, key=label_key)
+        for i in comps
     }
-    sigma = {}
-    for i, j in nerve.s1:
-        table = {}
-        for p in base.points:
-            tp = {}
-            for x in comps[i].fibers[p]:
-                for y in comps[j].fibers[p]:
-                    m = {}
-                    for r in lc.carrier[i]:
-                        xi = lc.theta[i].apply(p, (r, x))[0]
-                        m[r] = inv[j][p][(xi, y)][0]
-                    tp[(x, y)] = m
-            table[p] = tp
-        sigma[(i, j)] = table
+    sigma = {pair: {p: {} for p in base.points} for pair in pairs}
+    for i, j, p, x, y in _pair_elements(base.points, comps, pairs):
+        sigma[i, j][p][x, y] = {
+            r: inv[j][p][(lc.theta[i].apply(p, (r, x))[0], y)][0] for r in lc.carrier[i]
+        }
     out = UDescentDatum(cover=lc.cover, carrier=dict(lc.carrier), sigma=sigma)
     bad = validate_u_descent(out)
     if bad:
@@ -219,15 +206,10 @@ def is_covering_projection(cover: Family, u: UDescentDatum) -> bool:
         raise ValueError("invalid descent datum: " + "; ".join(bad))
     comps = family_components(cover)
     base = cover.total.base
-    nerve, _ = cech_nerve(cover)
-    for i, j in nerve.s1:
-        for p in base.points:
-            for x in comps[i].fibers[p]:
-                for y in comps[j].fibers[p]:
-                    span = representable_span(base, comps, i, j, p, x, y)
-                    if action_span_test(span, u) is None:
-                        return False
-    return True
+    return all(
+        action_span_test(representable_span(base, comps, i, j, p, x, y), u) is not None
+        for i, j, p, x, y in _pair_elements(base.points, comps, _overlaps(cover.index, comps)[0])
+    )
 
 
 def sieve_check(spans) -> bool:
@@ -261,22 +243,18 @@ def all_action_spans(cover: Family, u: UDescentDatum):
     """Identity spans plus every action span with representable vertex."""
     comps = family_components(cover)
     base = cover.total.base
-    nerve, _ = cech_nerve(cover)
     spans = []
-    for i in sorted(comps, key=label_key):
+    for i in cover.index:
         idmap = PresheafMap.identity(comps[i])
         ident = ClassSpan(i, i, comps[i], idmap, idmap)
         w = action_span_test(ident, u)
         if w is not None:
             spans.append(ActionSpan(ident, w))
-    for i, j in nerve.s1:
-        for p in base.points:
-            for x in comps[i].fibers[p]:
-                for y in comps[j].fibers[p]:
-                    span = representable_span(base, comps, i, j, p, x, y)
-                    w = action_span_test(span, u)
-                    if w is not None:
-                        spans.append(ActionSpan(span, w))
+    for i, j, p, x, y in _pair_elements(base.points, comps, _overlaps(cover.index, comps)[0]):
+        span = representable_span(base, comps, i, j, p, x, y)
+        w = action_span_test(span, u)
+        if w is not None:
+            spans.append(ActionSpan(span, w))
     return list(_unique_by(spans, ActionSpan.data_key))
 
 

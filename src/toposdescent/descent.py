@@ -9,7 +9,9 @@ bijections elementwise along the components of level one (stored in the
 first-projection form, one bijection per component element per point); a
 cover descent datum does the same along the pairwise products of the
 cover, which are the components of level one of its Čech family, so cover
-data are enumerated as family data over that family.  Over a hypercover
+data are enumerated as family data over that family.  The cover validator
+reads the overlapping pairs and triples straight off the supports of the
+components (``simplicial._overlaps``); it builds no nerve.  Over a hypercover
 refinement the family data and the cover data determine each other by
 composing with, respectively solving against, the canonical comparison
 maps.
@@ -39,7 +41,7 @@ from .groupoid import (
     validate_action,
 )
 from .hypercover import is_hypercover
-from .simplicial import TruncSSet, cech_nerve
+from .simplicial import TruncSSet, _overlaps, _pair_elements
 
 
 def _compose(outer, inner):
@@ -201,8 +203,9 @@ def induced_h_from_s(d: SDescentDatum, f: SelfDualFamily) -> HDescentDatum:
 
 @dataclass
 class UDescentDatum:
-    """Carriers per cover index and, for each nerve pair, a bijection per
-    element of the pairwise product at each point."""
+    """Carriers per cover index and, for each pair of components that
+    share a point, a bijection per element of the pairwise product at each
+    point."""
 
     cover: Family
     carrier: dict
@@ -216,24 +219,23 @@ def validate_u_descent(u: UDescentDatum):
     """Empty iff the datum is total on the pairwise products, natural in the
     point, trivial on diagonals, and compatible on triple products."""
     out = []
-    comps = family_components(u.cover)
-    nerve, _ = cech_nerve(u.cover)
-    for i in nerve.s0:
+    cover = u.cover
+    comps = family_components(cover)
+    for i in cover.index:
         if i not in u.carrier:
             out.append(f"carrier missing at {i!r}")
     if out:
         return out
-    base = u.cover.total.base
-    for i, j in nerve.s1:
+    base = cover.total.base
+    pairs, triples = _overlaps(cover.index, comps)
+    for i, j in pairs:
         table = u.sigma.get((i, j), {})
-        for p in base.points:
-            for x in comps[i].fibers[p]:
-                for y in comps[j].fibers[p]:
-                    m = table.get(p, {}).get((x, y))
-                    if m is None:
-                        out.append(f"missing value over ({i!r},{j!r}) at {p!r} on ({x!r},{y!r})")
-                    elif not _is_bijection(m, u.carrier[i], u.carrier[j]):
-                        out.append(f"value over ({i!r},{j!r}) on ({x!r},{y!r}) is not a carrier bijection")
+        for _, _, p, x, y in _pair_elements(base.points, comps, ((i, j),)):
+            m = table.get(p, {}).get((x, y))
+            if m is None:
+                out.append(f"missing value over ({i!r},{j!r}) at {p!r} on ({x!r},{y!r})")
+            elif not _is_bijection(m, u.carrier[i], u.carrier[j]):
+                out.append(f"value over ({i!r},{j!r}) on ({x!r},{y!r}) is not a carrier bijection")
         if out:
             return out
         for p, q in base.strict_pairs():
@@ -242,13 +244,13 @@ def validate_u_descent(u: UDescentDatum):
                     down = table[p][(comps[i].restrictions[(p, q)][x], comps[j].restrictions[(p, q)][y])]
                     if down != table[q][(x, y)]:
                         out.append(f"value over ({i!r},{j!r}) is not natural on ({x!r},{y!r})")
-    for i in nerve.s0:
+    for i in cover.index:
         for p in base.points:
             for x in comps[i].fibers[p]:
                 m = u.value(i, i, p, x, x)
                 if any(m[y] != y for y in u.carrier[i]):
                     out.append(f"identity law fails over {i!r} on {x!r}")
-    for i, j, k in nerve.s2:
+    for i, j, k in triples:
         for p in base.points:
             for x in comps[i].fibers[p]:
                 for y in comps[j].fibers[p]:
@@ -427,8 +429,8 @@ def enumerate_h_descent_data(f: SelfDualFamily, size_bound: int = None, carriers
 def enumerate_u_descent_data(cover: Family, size_bound: int = None, carriers=None):
     """All valid cover descent data with carriers up to the bound (or on
     fixed carriers): the family data over the Čech family of the cover, whose
-    1-simplices are the nerve pairs and whose components of level one are
-    the pairwise products, in their enumeration order."""
+    1-simplices are the overlapping pairs and whose components of level one
+    are the pairwise products, in their enumeration order."""
     return [
         UDescentDatum(cover=cover, carrier=d.carrier, sigma=d.sigma_hat)
         for d in enumerate_h_descent_data(cech_simplicial_family(cover), size_bound, carriers)

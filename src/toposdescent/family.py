@@ -37,6 +37,8 @@ from .fintopos import (
     product_list,
 )
 from .simplicial import (
+    DEGEN_KEYS,
+    FACE_KEYS,
     SimplicialMap,
     StrictDuality,
     TruncSSet,
@@ -51,9 +53,6 @@ from .simplicial import (
     validate,
     validate_simplicial_map,
 )
-
-_H_FACE_KEYS = ((1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
-_H_DEGEN_KEYS = ((0, 0), (1, 0), (1, 1))
 
 
 @dataclass
@@ -72,7 +71,7 @@ class SimplicialFamily:
     _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if set(self.face) != set(_H_FACE_KEYS) or set(self.degen) != set(_H_DEGEN_KEYS):
+        if set(self.face) != set(FACE_KEYS) or set(self.degen) != set(DEGEN_KEYS):
             raise ValueError("face/degeneracy maps must cover the truncated keys")
         levels = (self.h0, self.h1, self.h2)
         for (n, i), m in self.face.items():

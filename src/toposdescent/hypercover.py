@@ -28,14 +28,13 @@ from .fintopos import (
     family_components,
     hom_enumerate,
     is_connected,
-    label_key,
     pairing,
     product,
     representable,
     sorted_labels,
 )
 from .family import ClassSpan, SelfDualFamily, SimplicialFamily, span_of_1simplex
-from .simplicial import StrictDuality, TruncSSet, _values_along
+from .simplicial import StrictDuality, TruncSSet, _overlaps, _values_along
 
 
 @dataclass
@@ -113,10 +112,7 @@ def cosk_data(f: SimplicialFamily) -> CoskData:
     """
     base = f.h0.base
     comps = {i: f.component(0, i) for i in f.sset.s0}
-    supp = {i: set(comps[i].support()) for i in f.sset.s0}
-    pairs = tuple(
-        (i, j) for i in f.sset.s0 for j in f.sset.s0 if supp[i] & supp[j]
-    )
+    pairs, _ = _overlaps(f.sset.s0, comps)
     pair_limit = {(i, j): product(comps[i], comps[j])[0] for i, j in pairs}
     spans = {l: span_of_1simplex(f, l) for l in f.sset.s1}
     t2, triple_limit = [], {}
@@ -344,9 +340,8 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
     by_pair = _by_pair(s1, lambda lab: (record[lab][0].i, record[lab][0].j))
 
     s2_faces = {}
-    index = sorted(comps, key=label_key)
     span = {lab: s for lab, (s, _) in record.items()}
-    for ends, maps in _two_simplices(by_pair, index, span.__getitem__, vertices, hom_list):
+    for ends, maps in _two_simplices(by_pair, cover.index, span.__getitem__, vertices, hom_list):
         for ci_w, (xo, mx), (yo, my), (zo, mz) in maps:
             s2_faces[("sp2", *ends, ci_w, xo, yo, zo)] = (ends, ci_w, (mx, my, mz))
     s2 = tuple(s2_faces)
@@ -370,7 +365,7 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
         return ("sp2", lab, lab, ident_lab[s.j], ci, idord, idord, lab[5])
 
     degen = {
-        (0, 0): {i: ident_lab[i] for i in index},
+        (0, 0): {i: ident_lab[i] for i in cover.index},
         (1, 0): {lab: degen1(lab, 0) for lab in s1},
         (1, 1): {lab: degen1(lab, 1) for lab in s1},
     }
@@ -379,7 +374,7 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
         if m not in s2_faces:
             raise InvariantError(m)
 
-    sset = TruncSSet._trusted(tuple(index), s1, s2, face, degen)
+    sset = TruncSSet._trusted(cover.index, s1, s2, face, degen)
 
     op1 = {lab: ("sp", lab[2], lab[1], lab[3], lab[5], lab[4]) for lab in s1}
     for lab in s1:
@@ -447,9 +442,8 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
 
 def _all_spans(cover: Family, cls: SpanClass):
     comps = family_components(cover)
-    index = sorted(comps, key=label_key)
     spans = []
-    for i, j in itertools.product(index, repeat=2):
+    for i, j in itertools.product(cover.index, repeat=2):
         for v in cls.members:
             for u in hom_enumerate(v, comps[i]):
                 for w in hom_enumerate(v, comps[j]):
@@ -500,10 +494,9 @@ def representable_spans(cover: Family):
     Yoneda correspondence these are the elements of the pairwise products."""
     comps = family_components(cover)
     base = cover.total.base
-    index = sorted(comps, key=label_key)
     spans = []
     for p in base.points:
-        for i, j in itertools.product(index, repeat=2):
+        for i, j in itertools.product(cover.index, repeat=2):
             for x in comps[i].fibers[p]:
                 for y in comps[j].fibers[p]:
                     spans.append(representable_span(base, comps, i, j, p, x, y))
@@ -526,7 +519,7 @@ def connected_refinement(cover: Family, *, require_connected: bool = False) -> S
                 raise ValueError(f"component {i!r} is disconnected")
     spans = [
         ClassSpan(i, i, u, PresheafMap.identity(u), PresheafMap.identity(u))
-        for i, u in sorted(comps.items(), key=lambda kv: label_key(kv[0]))
+        for i, u in comps.items()
     ]
     spans += representable_spans(cover)
     return one_span_refinement(cover, SpanClassSp(tuple(spans)))
@@ -546,8 +539,6 @@ def check_epi_criteria(cover: Family, cls) -> bool:
         raise TypeError(f"expected a SpanClass or a SpanClassSp, got {type(cls).__name__}")
     comps = family_components(cover)
     base = cover.total.base
-    index = sorted(comps, key=label_key)
-    supp = {i: set(comps[i].support()) for i in index}
     if isinstance(cls, SpanClass):
         spans = _all_spans(cover, cls)
         verts = cls.members
@@ -559,14 +550,12 @@ def check_epi_criteria(cover: Family, cls) -> bool:
 
     # The spans of a SpanClass pair up every map from a member into the
     # product, so level one reads the pairings for either kind of class.
-    for i, j in itertools.product(index, repeat=2):
-        if not (supp[i] & supp[j]):
-            continue
+    for i, j in _overlaps(cover.index, comps)[0]:
         prod, _, _ = product(comps[i], comps[j])
         pairings = [pairing([spans[n].left, spans[n].right], prod) for n in by_pair.get((i, j), ())]
         if _missed(prod, _hit_sets((m.comp for m in pairings), base.points)):
             return False
-    joined = _two_simplices(by_pair, index, spans.__getitem__, verts, _hom_lists(verts))
+    joined = _two_simplices(by_pair, cover.index, spans.__getitem__, verts, _hom_lists(verts))
     for (l, t, r), maps in joined:
         hit = {p: set() for p in base.points}
         for ci, (_, mx), (_, my), (_, mz) in maps:

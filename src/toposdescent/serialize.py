@@ -292,67 +292,83 @@ def _enc_carriers(carrier: dict, memo) -> dict:
     return {enc_label(i, memo): [enc_label(r, memo) for r in rs] for i, rs in carrier.items()}
 
 
-def sdescent_to_json(d) -> dict:
+def _dec_carriers(d: dict, memo) -> dict:
+    return {dec_label(i, memo): tuple(dec_label(r, memo) for r in rs) for i, rs in d.items()}
+
+
+
+def _maps_to_json(carrier: dict, key: str, maps: dict) -> dict:
+    """Carriers and one map per key: index descent data and actions."""
     memo = {}
     return {
-        "carriers": _enc_carriers(d.carrier, memo),
-        "s": {enc_label(l, memo): _enc_map(m, memo) for l, m in d.s.items()},
+        "carriers": _enc_carriers(carrier, memo),
+        key: {enc_label(l, memo): _enc_map(m, memo) for l, m in maps.items()},
     }
 
 
-def _dec_carriers(d: dict, memo) -> dict:
-    return {dec_label(i, memo): tuple(dec_label(r, memo) for r in rs) for i, rs in d.items()}
+def _maps_from_json(d: dict, key: str, what: str):
+    """The carriers and maps written by ``_maps_to_json``; a fault raises
+    ``bad {what}``."""
+    memo = {}
+    try:
+        carrier = _dec_carriers(d["carriers"], memo)
+        return carrier, {dec_label(l, memo): _dec_map(m, memo) for l, m in d[key].items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(f"bad {what}: {exc}") from exc
+
+
+def _tables_to_json(carrier: dict, key: str, tables: dict) -> dict:
+    """Carriers and one map per key, point and element: cover and family
+    descent data."""
+    memo = {}
+    return {
+        "carriers": _enc_carriers(carrier, memo),
+        key: {
+            enc_label(l, memo): {
+                enc_label(p, memo): {enc_label(e, memo): _enc_map(m, memo) for e, m in table.items()}
+                for p, table in by_point.items()
+            }
+            for l, by_point in tables.items()
+        },
+    }
+
+
+def _tables_from_json(d: dict, key: str):
+    """The carriers and tables written by ``_tables_to_json``."""
+    memo = {}
+    try:
+        carrier = _dec_carriers(d["carriers"], memo)
+        return carrier, {
+            dec_label(l, memo): {
+                dec_label(p, memo): {dec_label(e, memo): _dec_map(m, memo) for e, m in table.items()}
+                for p, table in by_point.items()
+            }
+            for l, by_point in d[key].items()
+        }
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(f"bad descent datum: {exc}") from exc
+
+
+def sdescent_to_json(d) -> dict:
+    return _maps_to_json(d.carrier, "s", d.s)
 
 
 def sdescent_from_json(d: dict):
     from .descent import SDescentDatum
 
-    memo = {}
-    try:
-        return SDescentDatum(
-            carrier=_dec_carriers(d["carriers"], memo),
-            s={dec_label(l, memo): _dec_map(m, memo) for l, m in d["s"].items()},
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"bad descent datum: {exc}") from exc
+    carrier, s = _maps_from_json(d, "s", "descent datum")
+    return SDescentDatum(carrier=carrier, s=s)
 
 
 def udescent_to_json(u) -> dict:
-    memo = {}
-    return {
-        "carriers": _enc_carriers(u.carrier, memo),
-        "sigma": {
-            enc_label(pair, memo): {
-                enc_label(p, memo): {
-                    enc_label(xy, memo): _enc_map(m, memo) for xy, m in table.items()
-                }
-                for p, table in tables.items()
-            }
-            for pair, tables in u.sigma.items()
-        },
-    }
+    return _tables_to_json(u.carrier, "sigma", u.sigma)
 
 
 def udescent_from_json(d: dict, cover: Family):
     from .descent import UDescentDatum
 
-    memo = {}
-    try:
-        return UDescentDatum(
-            cover=cover,
-            carrier=_dec_carriers(d["carriers"], memo),
-            sigma={
-                dec_label(pair, memo): {
-                    dec_label(p, memo): {
-                        dec_label(xy, memo): _dec_map(m, memo) for xy, m in table.items()
-                    }
-                    for p, table in tables.items()
-                }
-                for pair, tables in d["sigma"].items()
-            },
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"bad descent datum: {exc}") from exc
+    carrier, sigma = _tables_from_json(d, "sigma")
+    return UDescentDatum(cover=cover, carrier=carrier, sigma=sigma)
 
 
 def selfdual_family_to_json(sf) -> dict:
@@ -408,60 +424,23 @@ def selfdual_family_from_json(d: dict):
 
 
 def action_to_json(a) -> dict:
-    memo = {}
-    return {
-        "carriers": _enc_carriers(a.carrier, memo),
-        "actions": {enc_label(g, memo): _enc_map(m, memo) for g, m in a.gen_action.items()},
-    }
+    return _maps_to_json(a.carrier, "actions", a.gen_action)
 
 
 def action_from_json(d: dict):
     from .groupoid import GroupoidAction
 
-    memo = {}
-    try:
-        return GroupoidAction(
-            carrier=_dec_carriers(d["carriers"], memo),
-            gen_action={dec_label(g, memo): _dec_map(m, memo) for g, m in d["actions"].items()},
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"bad action: {exc}") from exc
+    carrier, gen_action = _maps_from_json(d, "actions", "action")
+    return GroupoidAction(carrier=carrier, gen_action=gen_action)
 
 
 def hdescent_to_json(d) -> dict:
     """Family descent datum: values keyed by 1-simplex, point, element."""
-    memo = {}
-    return {
-        "carriers": _enc_carriers(d.carrier, memo),
-        "sigma_hat": {
-            enc_label(l, memo): {
-                enc_label(p, memo): {
-                    enc_label(e, memo): _enc_map(m, memo) for e, m in table.items()
-                }
-                for p, table in tables.items()
-            }
-            for l, tables in d.sigma_hat.items()
-        },
-    }
+    return _tables_to_json(d.carrier, "sigma_hat", d.sigma_hat)
 
 
 def hdescent_from_json(d: dict, family):
     from .descent import HDescentDatum
 
-    memo = {}
-    try:
-        return HDescentDatum(
-            family=family,
-            carrier=_dec_carriers(d["carriers"], memo),
-            sigma_hat={
-                dec_label(l, memo): {
-                    dec_label(p, memo): {
-                        dec_label(e, memo): _dec_map(m, memo) for e, m in table.items()
-                    }
-                    for p, table in tables.items()
-                }
-                for l, tables in d["sigma_hat"].items()
-            },
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"bad descent datum: {exc}") from exc
+    carrier, sigma_hat = _tables_from_json(d, "sigma_hat")
+    return HDescentDatum(family=family, carrier=carrier, sigma_hat=sigma_hat)

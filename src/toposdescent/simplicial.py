@@ -319,6 +319,27 @@ def validate_duality(s: TruncSSet, tau: StrictDuality):
     return _duality_violations(s, tau)[0]
 
 
+def _overlaps(index, comps):
+    """The pairs and the triples of ``index`` whose components in ``comps``
+    share a point of support, in label order when ``index`` is: the 1- and
+    2-simplices of the Čech nerve, without building it."""
+    supp = {i: set(comps[i].support()) for i in index}
+    pairs = tuple((i, j) for i in index for j in index if supp[i] & supp[j])
+    triples = tuple((i, j, k) for i, j in pairs for k in index if supp[i] & supp[j] & supp[k])
+    return pairs, triples
+
+
+def _pair_elements(points, comps, pairs):
+    """``(i, j, p, x, y)`` for each element ``(x, y)`` at ``p`` of each
+    pairwise product ``comps[i] x comps[j]``: pairs in the order given, then
+    points, then ``x`` and ``y`` in fiber order."""
+    for i, j in pairs:
+        for p in points:
+            for x in comps[i].fibers[p]:
+                for y in comps[j].fibers[p]:
+                    yield i, j, p, x, y
+
+
 def cech_nerve(f: Family):
     """Nerve of a cover: tuples of indices whose componentwise products are
     non-initial, with coordinate-dropping faces, diagonal degeneracies, and
@@ -326,19 +347,8 @@ def cech_nerve(f: Family):
 
     Returns (TruncSSet, StrictDuality).  Errors if a component is empty.
     """
-    comps = family_components(f)
-    supp = {i: set(comps[i].support()) for i in f.index}
     idx = f.index
-    n1 = tuple(
-        (i, j) for i in idx for j in idx if supp[i] & supp[j]
-    )
-    n2 = tuple(
-        (i, j, k)
-        for i in idx
-        for j in idx
-        for k in idx
-        if supp[i] & supp[j] & supp[k]
-    )
+    n1, n2 = _overlaps(idx, family_components(f))
     face = {
         (1, 0): {l: l[1] for l in n1},
         (1, 1): {l: l[0] for l in n1},
