@@ -9,14 +9,21 @@ products, quotients, components and hom sets are computed by direct
 enumeration.
 
 Elements carry stable, ordered labels so that every enumeration in the
-library is deterministic.  ``sorted_labels`` computes the sort key of each
-distinct label (and of each distinct sub-label) once per sort, in a table
-that lives only as long as that sort; there is no process-wide cache.
+library is deterministic.  ``sorted_labels`` returns labels already in
+``label_key`` order as they are, after one pass of native ``<`` over
+adjacent pairs: on ints, strings and nested tuples of them, native ``<``
+agrees with ``label_key`` or raises ``TypeError`` (two kinds met at the
+first unequal place).  Only labels out of order, or whose comparison
+raises, are sorted by ``label_key``, with the key of each distinct label
+(and sub-label) computed once per sort, in a table that lives only as
+long as that sort; there is no process-wide cache.
 All values are immutable after construction and all operations are pure
 functions; values may be shared freely between threads.
 
-``Presheaf(...)`` and ``PresheafMap(...)`` sort and check whatever they are
-given, and so do ``constant_presheaf`` and the decoders in ``serialize``.
+``Presheaf(...)`` and ``PresheafMap(...)`` order and check whatever they are
+given, and so do ``constant_presheaf`` and the decoders in ``serialize``;
+what arrives in order, as the writers emit it, is checked in one pass and
+not sorted.
 Constructions whose output is correct by construction, from dicts they
 build themselves, use the private ``Presheaf._trusted`` and
 ``PresheafMap._trusted`` instead, which neither sort nor check:
@@ -35,6 +42,7 @@ positional view of a simplicial set).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .errors import BaseMismatchError, EmptyComponentError
@@ -59,7 +67,25 @@ def label_key(x, memo=None):
 
 
 def sorted_labels(xs):
-    """The labels in ``label_key`` order, each distinct key computed once."""
+    """The labels in ``label_key`` order, as a tuple.
+
+    Labels already in order come back as they are, after one pass that
+    compares each label with the next by native ``<``.  On labels that
+    ``label_key`` orders, native ``<`` agrees with it wherever it does not
+    raise: ints and strings compare as in their keys, and tuples, like their
+    keys, compare at their first unequal place (``==`` agrees with equal
+    keys), a proper prefix first; labels of two kinds (an int and a string,
+    say) raise ``TypeError``.  Only when a pair is out of order, or a
+    comparison raises, are the labels sorted by ``label_key``, each distinct
+    key computed once.  Either way equal labels end up next to each other,
+    in the order given, as a stable sort leaves them.
+    """
+    xs = tuple(xs)
+    try:
+        if not any(map(operator.lt, itertools.islice(xs, 1, None), xs)):
+            return xs
+    except TypeError:
+        pass
     memo = {}
     return tuple(sorted(xs, key=lambda x: label_key(x, memo)))
 
@@ -430,7 +456,8 @@ def is_epi_family(maps) -> bool:
     for m in maps:
         if m.cod != cod:
             raise BaseMismatchError("epi test needs a common codomain")
-    return not _missed(cod, _hit_sets((m.comp for m in maps), cod.base.points))
+    points = cod.base.points
+    return not _missed(points, cod.fibers, _hit_sets((m.comp for m in maps), points))
 
 
 def _hit_sets(comps, points):
@@ -443,10 +470,11 @@ def _hit_sets(comps, points):
     return hit
 
 
-def _missed(cod: Presheaf, hit) -> list:
-    """The ``(point, element)`` pairs of ``cod`` outside the hit sets, in
-    fiber order; a point without a hit set is missed whole."""
-    return [(p, e) for p in cod.base.points for e in cod.fibers[p] if e not in hit.get(p, ())]
+def _missed(points, fibers, hit) -> list:
+    """The ``(point, element)`` pairs of the fibers outside the hit sets, in
+    the order of ``points`` and of each fiber; a point without a hit set is
+    missed whole."""
+    return [(p, e) for p in points for e in fibers[p] if e not in hit.get(p, ())]
 
 
 def union_find(items):

@@ -7,6 +7,14 @@ storeys, and the duality swaps legs.  The coskeleton data (pairwise
 products ``P_ij`` and boundary-triangle limits ``P_ltr``) supports the
 hypercover test: the canonical component maps into them must be jointly
 epimorphic at levels one and two.
+
+A boundary-triangle limit is listed by a hash join (``_triangle_join``):
+each span's legs are indexed once per point, and the pairs of elements of
+two spans that agree on their left legs once per pair of spans, so each
+triple looks up its partners instead of trying every combination.  The
+coverage check (``hypercover_report``) and ``check_epi_criteria`` read
+only the fibers of the limits; ``cosk_data`` builds the same fibers into
+presheaves with their restrictions.
 """
 
 from __future__ import annotations
@@ -47,37 +55,78 @@ class CoskData:
     triple_limit: dict
 
 
-def _triangle_limit(base, sl, st, sr) -> Presheaf:
-    """Limit of the boundary of a two-storey span: compatible leg triples of
-    the three spans (anything with ``vertex``, ``left`` and ``right``).
+def _triangle_join(points, span):
+    """``fibers(l, t, r)``: per point of ``points``, the fiber of the limit
+    of the boundary of a two-storey span, the compatible leg triples
+    ``(a, b, c)`` of ``span(l)``, ``span(t)`` and ``span(r)`` (anything with
+    ``vertex``, ``left`` and ``right``): ``t.left b = l.left a``, ``r.left
+    c = l.right a`` and ``r.right c = t.right b``.
 
-    The triples are listed in the order of the vertices' sorted fibers,
-    which is their ``label_key`` order."""
-    fibers = {}
-    for p in base.points:
-        out = []
-        for a in sl.vertex.fibers[p]:
-            for b in st.vertex.fibers[p]:
-                if st.left.apply(p, b) != sl.left.apply(p, a):
-                    continue
-                for c in sr.vertex.fibers[p]:
-                    if sr.left.apply(p, c) == sl.right.apply(p, a) and sr.right.apply(
-                        p, c
-                    ) == st.right.apply(p, b):
-                        out.append((a, b, c))
-        fibers[p] = tuple(out)
+    The triples are listed in the order of ``a``, then ``b``, then ``c`` in
+    the vertices' sorted fibers, which is their ``label_key`` order.  Each
+    span's legs are read once per point, on first use: its rows ``(a, l.left
+    a, l.right a)``, its pairs ``(b, t.right b)`` by left leg and its
+    elements ``c`` by both legs.  The pairs ``(a, b)`` that agree on their
+    left legs are joined once for a run of triples with the same ``(l,
+    t)``, and each ``r`` then looks up the partners of each pair instead of
+    trying every triple."""
+    tables, halves = {}, {}
+
+    def legs(item):
+        if item not in tables:
+            s = span(item)
+            per_point = []
+            for p in points:
+                left, right = s.left.comp[p], s.right.comp[p]
+                rows, by_left, by_legs = [], {}, {}
+                for e in s.vertex.fibers[p]:
+                    x, y = left[e], right[e]
+                    rows.append((e, x, y))
+                    by_left.setdefault(x, []).append((e, y))
+                    by_legs.setdefault((x, y), []).append(e)
+                per_point.append((rows, by_left, by_legs))
+            tables[item] = per_point
+        return tables[item]
+
+    def half(l, t):
+        # per point, the (a, b) with t.left b = l.left a, and their right
+        # legs; triples come grouped by (l, t), so only the last is kept
+        if (l, t) not in halves:
+            halves.clear()
+            halves[(l, t)] = [
+                [(a, b, (y, z)) for a, x, y in rows for b, z in by_left.get(x, ())]
+                for (rows, _, _), (_, by_left, _) in zip(legs(l), legs(t))
+            ]
+        return halves[(l, t)]
+
+    def fibers(l, t, r):
+        out = {}
+        for p, ab, (_, _, by_legs) in zip(points, half(l, t), legs(r)):
+            out[p] = tuple([(a, b, c) for a, b, yz in ab for c in by_legs.get(yz, ())]) if ab else ()
+        return out
+
+    return fibers
+
+
+def _limit_presheaf(base, fibers, vertices) -> Presheaf:
+    """The limit with the given fibers of triples, restricted along the
+    three vertices."""
+    vl, vt, vr = vertices
     rest = {
         (p, q): {
-            (a, b, c): (
-                sl.vertex.restrict(p, q, a),
-                st.vertex.restrict(p, q, b),
-                sr.vertex.restrict(p, q, c),
-            )
+            (a, b, c): (vl.restrict(p, q, a), vt.restrict(p, q, b), vr.restrict(p, q, c))
             for (a, b, c) in fibers[q]
         }
         for (p, q) in base.strict_pairs()
     }
     return Presheaf._trusted(base, fibers, rest)
+
+
+def _triangle_limit(base, sl, st, sr) -> Presheaf:
+    """Limit of the boundary of a two-storey span, as a presheaf; its fibers
+    are those of ``_triangle_join``."""
+    fibers = _triangle_join(base.points, (sl, st, sr).__getitem__)(0, 1, 2)
+    return _limit_presheaf(base, fibers, (sl.vertex, st.vertex, sr.vertex))
 
 
 def _by_pair(items, ends):
@@ -104,6 +153,27 @@ def _composable_triples(by_pair, index):
                         yield l, t, r
 
 
+def _limit_fibers(f: SimplicialFamily):
+    """The fibers of the limits of ``cosk_data(f)``, keyed as the limits
+    are, without their restrictions: ``(pair_fibers, spans,
+    triple_fibers)``, with ``spans`` the span of each 1-simplex."""
+    points = f.h0.base.points
+    comps = {i: f.component(0, i) for i in f.sset.s0}
+    pairs, _ = _overlaps(f.sset.s0, comps)
+    pair_fibers = {
+        (i, j): {p: tuple(itertools.product(comps[i].fibers[p], comps[j].fibers[p])) for p in points}
+        for i, j in pairs
+    }
+    spans = {l: span_of_1simplex(f, l) for l in f.sset.s1}
+    join = _triangle_join(points, spans.__getitem__)
+    triple_fibers = {}
+    for ends in _composable_triples(_by_pair(f.sset.s1, f.sset.endpoints), f.sset.s0):
+        fibers = join(*ends)
+        if any(fibers.values()):
+            triple_fibers[ends] = fibers
+    return pair_fibers, spans, triple_fibers
+
+
 def cosk_data(f: SimplicialFamily) -> CoskData:
     """Compute the coskeleton data of a simplicial family.
 
@@ -111,53 +181,60 @@ def cosk_data(f: SimplicialFamily) -> CoskData:
     the family has no 2-simplices.
     """
     base = f.h0.base
+    pair_fibers, spans, triple_fibers = _limit_fibers(f)
     comps = {i: f.component(0, i) for i in f.sset.s0}
-    pairs, _ = _overlaps(f.sset.s0, comps)
-    pair_limit = {(i, j): product(comps[i], comps[j])[0] for i, j in pairs}
-    spans = {l: span_of_1simplex(f, l) for l in f.sset.s1}
-    t2, triple_limit = [], {}
-    by_pair = _by_pair(f.sset.s1, f.sset.endpoints)
-    for l, t, r in _composable_triples(by_pair, f.sset.s0):
-        lim = _triangle_limit(base, spans[l], spans[t], spans[r])
-        if not lim.is_initial():
-            t2.append((l, t, r))
-            triple_limit[(l, t, r)] = lim
-    return CoskData(pairs, pair_limit, tuple(t2), triple_limit)
+    pair_limit = {(i, j): product(comps[i], comps[j])[0] for i, j in pair_fibers}
+    triple_limit = {
+        ends: _limit_presheaf(base, fibers, [spans[x].vertex for x in ends])
+        for ends, fibers in triple_fibers.items()
+    }
+    return CoskData(tuple(pair_limit), pair_limit, tuple(triple_limit), triple_limit)
 
 
 def _uncovered(f: SimplicialFamily, n, limits) -> dict:
     """Per key of ``limits``, the elements that no element of ``H_n`` hits.
 
-    The faces of an element over ``w`` are its point in the limit over the
-    boundary of ``w``; a point outside that limit raises ``ValueError``.
+    Each limit is given by its fibers.  The faces of an element over ``w``
+    are its point in the limit over the boundary of ``w``; a point outside
+    that limit raises ``ValueError``.
     """
     ix, lower = f.sset._positions_view(), f.sset.level(n - 1)
     ks = range(n, -1, -1)
     faces = [f.face[(n, k)] for k in ks]
-    # the boundary of each n-simplex, by position, and its limit
+    base_points = f.h0.base.points
+    # the boundary of each n-simplex, by position, numbered once per boundary
     boundary = list(zip(*(map(lower.__getitem__, ix.face[(n, k)]) for k in ks)))
-    lims = [limits.get(key) for key in boundary]
-    hit = defaultdict(lambda: defaultdict(set))
-    for p in f.h0.base.points:
+    slot = {}
+    slots = [slot.setdefault(key, len(slot)) for key in boundary]
+    lims = [limits.get(key) for key in slot]
+    hit = [defaultdict(set) for _ in slot]
+    for p in base_points:
         fiber = f.level(n).fibers[p]
         simplex = map(ix.pos[n].__getitem__, _values_along(f.zeta[n].comp[p], fiber))
         points = zip(*(_values_along(d.comp[p], fiber) for d in faces))
+        inside = [None] * len(slot)
         for e, w, point in zip(fiber, simplex, points):
-            if lims[w] is None or point not in lims[w].fiber_set(p):
+            k = slots[w]
+            if inside[k] is None:
+                inside[k] = frozenset(lims[k][p]) if lims[k] is not None else frozenset()
+            if point not in inside[k]:
                 raise ValueError(f"faces of {e!r} at {p!r} lie outside the limit over {boundary[w]!r}")
-            hit[boundary[w]][p].add(point)
-    return {key: _missed(lim, hit.get(key, {})) for key, lim in limits.items()}
+            hit[k][p].add(point)
+    return {
+        key: _missed(base_points, lim, hit[slot[key]] if key in slot else {})
+        for key, lim in limits.items()
+    }
 
 
 def hypercover_report(f: SimplicialFamily) -> dict:
     """Coverage tables: for each pair and boundary triple, the limit elements
     not hit by the elements of H1, respectively H2, through their faces;
-    computed once per family."""
+    computed once per family, from the fibers of the limits alone."""
     if "hypercover_report" not in f._derived:
-        data = cosk_data(f)
+        pair_fibers, _, triple_fibers = _limit_fibers(f)
         f._derived["hypercover_report"] = {
-            "level1": _uncovered(f, 1, data.pair_limit),
-            "level2": _uncovered(f, 2, data.triple_limit),
+            "level1": _uncovered(f, 1, pair_fibers),
+            "level2": _uncovered(f, 2, triple_fibers),
         }
     return f._derived["hypercover_report"]
 
@@ -553,15 +630,16 @@ def check_epi_criteria(cover: Family, cls) -> bool:
     for i, j in _overlaps(cover.index, comps)[0]:
         prod, _, _ = product(comps[i], comps[j])
         pairings = [pairing([spans[n].left, spans[n].right], prod) for n in by_pair.get((i, j), ())]
-        if _missed(prod, _hit_sets((m.comp for m in pairings), base.points)):
+        if _missed(base.points, prod.fibers, _hit_sets((m.comp for m in pairings), base.points)):
             return False
     joined = _two_simplices(by_pair, cover.index, spans.__getitem__, verts, _hom_lists(verts))
-    for (l, t, r), maps in joined:
+    limit = _triangle_join(base.points, spans.__getitem__)
+    for ends, maps in joined:
         hit = {p: set() for p in base.points}
         for ci, (_, mx), (_, my), (_, mz) in maps:
             for p in base.points:
                 cx, cy, cz = mx.comp[p], my.comp[p], mz.comp[p]
                 hit[p].update((cx[x], cy[x], cz[x]) for x in verts[ci].fibers[p])
-        if _missed(_triangle_limit(base, spans[l], spans[t], spans[r]), hit):
+        if _missed(base.points, limit(*ends), hit):
             return False
     return True

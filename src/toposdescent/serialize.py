@@ -16,7 +16,12 @@ memo also serves the parts of a new string: an element ``(w,x)`` whose
 simplex ``w`` is already decoded, and a flat sub-tuple already decoded,
 are looked up rather than parsed again, and only where a parse would
 succeed, so the values and errors are those of the parse.  Readers still
-build every value through the validating public constructors.
+build every value through the validating public constructors.  The writers
+emit every fiber, level and index in ``label_key`` order, and those
+constructors check such input in one pass of native comparisons instead of
+sorting it (``fintopos.sorted_labels``); a document written in another
+order is sorted on reading and decodes to the same value, and a repeated
+label raises the same error in either order.
 """
 
 from __future__ import annotations

@@ -61,8 +61,8 @@ def test_is_hypercover_level0_mismatch(fixture_cover, two_singleton_cover):
 
 def test_coverage_report_computed_once_per_family(fixture_cover, two_singleton_cover, monkeypatch):
     calls = []
-    real = td.hypercover.cosk_data
-    monkeypatch.setattr(td.hypercover, "cosk_data", lambda f: calls.append(f) or real(f))
+    real = td.hypercover._limit_fibers
+    monkeypatch.setattr(td.hypercover, "_limit_fibers", lambda f: calls.append(f) or real(f))
     fam = td.connected_refinement(fixture_cover).base
     assert td.is_hypercover(fam, fixture_cover)
     assert td.is_hypercover(fam, fixture_cover)

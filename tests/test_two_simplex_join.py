@@ -57,7 +57,7 @@ def old_check_epi_criteria(cover, cls):
     by_pair = _by_pair(spans, lambda s: (s.i, s.j))
 
     def covered(lim, maps):
-        return not _missed(lim, _hit_sets((m.comp for m in maps), base.points))
+        return not _missed(base.points, lim.fibers, _hit_sets((m.comp for m in maps), base.points))
 
     for i, j in itertools.product(index, repeat=2):
         if not (supp[i] & supp[j]):
@@ -162,5 +162,5 @@ def test_level_two_alone_can_fail():
     spans = _all_spans(cover, zero_class(cover))
     prod, _, _ = product(comps["u"], comps["u"])
     pairings = [pairing([s.left, s.right], prod) for s in spans]
-    assert not _missed(prod, _hit_sets((m.comp for m in pairings), prod.base.points))
+    assert not _missed(prod.base.points, prod.fibers, _hit_sets((m.comp for m in pairings), prod.base.points))
     assert not td.check_epi_criteria(cover, zero_class(cover))
