@@ -139,7 +139,10 @@ class HDescentDatum:
 
 def validate_h_descent(d: HDescentDatum):
     """Empty iff the elementwise bijections are natural in the base point,
-    trivial on degenerate images, and compatible with every triangle."""
+    trivial on degenerate images, and compatible with every triangle.
+    Checked in stages: the first 1-simplex with a missing value or a
+    non-bijection ends the check; naturality is checked on every 1-simplex,
+    and the identity and cocycle laws only on a natural datum."""
     f = d.family.base
     sset = f.sset
     out = []
@@ -152,6 +155,7 @@ def validate_h_descent(d: HDescentDatum):
         i, j = sset.endpoints(l)
         comp = f.component(1, l)
         table = d.sigma_hat.get(l, {})
+        seen = len(out)
         for p in comp.base.points:
             for e in comp.fibers[p]:
                 m = table.get(p, {}).get(e)
@@ -159,12 +163,14 @@ def validate_h_descent(d: HDescentDatum):
                     out.append(f"missing value at {l!r}, point {p!r}, element {e!r}")
                 elif not _is_bijection(m, d.carrier[i], d.carrier[j]):
                     out.append(f"value at {l!r}, {e!r} is not a carrier bijection")
-        if out:
+        if len(out) > seen:
             return out
         for p, q in comp.base.strict_pairs():
             for e in comp.fibers[q]:
                 if table[p][comp.restrict(p, q, e)] != table[q][e]:
                     out.append(f"value at {l!r} is not natural at {e!r}")
+    if out:
+        return out
     s0 = f.degen[(0, 0)]
     for i in sset.s0:
         l = sset.deg(0, 0, i)
@@ -217,7 +223,10 @@ class UDescentDatum:
 
 def validate_u_descent(u: UDescentDatum):
     """Empty iff the datum is total on the pairwise products, natural in the
-    point, trivial on diagonals, and compatible on triple products."""
+    point, trivial on diagonals, and compatible on triple products.  Checked
+    in stages: the first pair with a missing value or a non-bijection ends
+    the check; naturality is checked on every pair, and the identity and
+    cocycle laws only on a natural datum."""
     out = []
     cover = u.cover
     comps = family_components(cover)
@@ -230,13 +239,14 @@ def validate_u_descent(u: UDescentDatum):
     pairs, triples = _overlaps(cover.index, comps)
     for i, j in pairs:
         table = u.sigma.get((i, j), {})
+        seen = len(out)
         for _, _, p, x, y in _pair_elements(base.points, comps, ((i, j),)):
             m = table.get(p, {}).get((x, y))
             if m is None:
                 out.append(f"missing value over ({i!r},{j!r}) at {p!r} on ({x!r},{y!r})")
             elif not _is_bijection(m, u.carrier[i], u.carrier[j]):
                 out.append(f"value over ({i!r},{j!r}) on ({x!r},{y!r}) is not a carrier bijection")
-        if out:
+        if len(out) > seen:
             return out
         for p, q in base.strict_pairs():
             for x in comps[i].fibers[q]:
@@ -244,6 +254,8 @@ def validate_u_descent(u: UDescentDatum):
                     down = table[p][(comps[i].restrictions[(p, q)][x], comps[j].restrictions[(p, q)][y])]
                     if down != table[q][(x, y)]:
                         out.append(f"value over ({i!r},{j!r}) is not natural on ({x!r},{y!r})")
+    if out:
+        return out
     for i in cover.index:
         for p in base.points:
             for x in comps[i].fibers[p]:

@@ -8,10 +8,19 @@ written for it, ``#0`` or ``#-?[1-9][0-9]*``, and a label may nest tuples
 at most ``MAX_LABEL_DEPTH`` deep.
 
 Writers of whole documents (the ``*_to_json`` functions of families,
-simplicial sets, descent data and actions) encode each distinct tuple
-label once per document, and readers of whole documents decode each
-distinct label string once per document, each through a memo that lives
-only as long as that call; there is no process-wide cache.  A reader's
+simplicial sets, presheaves, presheaf maps, descent data and actions) read
+every label through one label table per document (``_LabelTable``): each
+distinct label is encoded once, with every check of ``enc_label``, and is
+one ``str`` object wherever it occurs.  Lookups go by equality, and
+``True == 1 == 1.0``, so a batch of labels (a fiber, a level, the keys or
+the values of a map, a carrier list) is looked up only if each member's
+type is exactly ``int``, ``str`` or ``tuple``; any other batch is encoded
+member by member, with the same errors met in the same order.  Equal
+tuples share a string within a document, as with any ``enc_label`` memo;
+a presheaf or presheaf map written on its own shares atoms only.  Readers
+of whole documents decode each distinct label string once per document
+through a memo.  Tables and memos live only as long as their call; there
+is no process-wide cache.  A reader's
 memo also serves the parts of a new string: an element ``(w,x)`` whose
 simplex ``w`` is already decoded, and a flat sub-tuple already decoded,
 are looked up rather than parsed again, and only where a parse would
@@ -47,7 +56,15 @@ def enc_label(x, memo=None) -> str:
     tuples to their encodings: a tuple met again, at any depth, reuses its
     string, while every atom outside a reused tuple is checked as usual.
     Lookups go by tuple equality, so a tuple equal to one already encoded
-    (as ``(True,)`` equals ``(1,)``) shares its string."""
+    (as ``(True,)`` equals ``(1,)``) shares its string.
+
+    The document writers encode through one label table per document
+    (``_LabelTable``), which looks a label up only within a batch whose
+    members are all exactly ``int``, ``str`` or ``tuple`` (a lookup of
+    ``True`` or ``1.0`` would find the entry of ``1``), and which calls this
+    function, with itself as the memo, for any other batch and for a new
+    tuple with a member of another type, so a ``bool`` in a tuple still
+    raises."""
     if isinstance(x, tuple):
         if memo is None:
             return "(" + ",".join(enc_label(e) for e in x) + ")"
@@ -150,8 +167,60 @@ def _parse_label(s: str, memo=None):
             value = tuple(stack.pop())
 
 
-def _enc_map(m: dict, memo=None) -> dict:
-    return {enc_label(k, memo): enc_label(v, memo) for k, v in m.items()}
+class _LabelTable(dict):
+    """The label table of one document (see the module docstring).  A
+    label's first occurrence is encoded and stored, and each later one is a
+    lookup that returns the same string.  A new tuple of members of exact
+    types in ``_exact`` is joined from the table's own entries; any other
+    new label goes through ``enc_label`` with the table as its memo.  A
+    label that fails to encode raises and is not stored.  The batch methods
+    read a batch in order, so the first fault met is the one that encoding
+    member by member meets; output dicts are built fresh."""
+
+    __slots__ = ()
+    _exact = frozenset((int, str, tuple))
+
+    def __missing__(self, x):
+        if type(x) is tuple and self._exact.issuperset(map(type, x)):
+            s = "(" + ",".join(map(self.__getitem__, x)) + ")"
+        else:
+            s = enc_label(x, self)
+        self[x] = s
+        return s
+
+    def _checked(self, x):
+        return enc_label(x, self)
+
+    def encode(self, xs):
+        """An iterator over the encodings of ``xs``, taken in order as it is
+        read; ``xs`` must be a collection, since it is read twice."""
+        if self._exact.issuperset(map(type, xs)):
+            return map(self.__getitem__, xs)
+        return map(self._checked, xs)
+
+    def labels(self, xs) -> list:
+        return list(self.encode(xs))
+
+    def map(self, m: dict) -> dict:
+        """A label map, key then value item by item, as a fresh dict."""
+        return dict(zip(self.encode(m), self.encode(m.values())))
+
+    def keyed(self, keys, values) -> dict:
+        """Encoded ``keys`` zipped with ``values``, an iterator that is
+        advanced after each key, so faults come in item order."""
+        return dict(zip(self.encode(keys), values))
+
+
+class _AtomTable(_LabelTable):
+    """The table of a presheaf or presheaf map written on its own, a call
+    that has never had a tuple memo: each tuple is encoded by ``enc_label``
+    without one, every time it is met."""
+
+    __slots__ = ()
+    _exact = frozenset((int, str))
+
+    def _checked(self, x):
+        return enc_label(x)
 
 
 def _dec_map(d: dict, memo=None) -> dict:
@@ -175,15 +244,18 @@ def poset_from_json(d: dict, memo=None) -> FinPoset:
         raise SerializationError(f"bad poset: {exc}") from exc
 
 
-def presheaf_to_json(x: Presheaf, memo=None) -> dict:
+def presheaf_to_json(x: Presheaf, table=None) -> dict:
+    t = _AtomTable() if table is None else table
+    points = x.base.points
+
+    def restrictions():
+        for (p, q), m in x.restrictions.items():
+            eq, ep = t.encode((q, p))
+            yield f"{eq}>{ep}", t.map(m)
+
     return {
-        "fibers": {
-            enc_label(p, memo): [enc_label(e, memo) for e in x.fibers[p]] for p in x.base.points
-        },
-        "restrictions": {
-            f"{enc_label(q, memo)}>{enc_label(p, memo)}": _enc_map(m, memo)
-            for (p, q), m in x.restrictions.items()
-        },
+        "fibers": t.keyed(points, (t.labels(x.fibers[p]) for p in points)),
+        "restrictions": dict(restrictions()),
     }
 
 
@@ -205,17 +277,18 @@ def presheaf_from_json(d: dict, poset: FinPoset, memo=None) -> Presheaf:
 
 
 def family_to_json(f: Family) -> dict:
-    memo = {}
+    t = _LabelTable()
+    points, fibers = f.total.base.points, f.total.fibers
+
+    def zeta(p):
+        fiber = fibers[p]
+        return t.keyed(fiber, t.encode([f.zeta(p, e) for e in fiber]))
+
     return {
         "poset": poset_to_json(f.total.base),
-        "total": presheaf_to_json(f.total, memo),
-        "index": [enc_label(i, memo) for i in f.index],
-        "zeta": {
-            enc_label(p, memo): {
-                enc_label(e, memo): enc_label(f.zeta(p, e), memo) for e in f.total.fibers[p]
-            }
-            for p in f.total.base.points
-        },
+        "total": presheaf_to_json(f.total, t),
+        "index": t.labels(f.index),
+        "zeta": t.keyed(points, map(zeta, points)),
     }
 
 
@@ -234,25 +307,24 @@ def family_from_json(d: dict) -> Family:
         raise SerializationError(f"bad family: {exc}") from exc
 
 
-def sset_to_json(s: TruncSSet, tau: StrictDuality = None, memo=None) -> dict:
-    if memo is None:
-        memo = {}
+def sset_to_json(s: TruncSSet, tau: StrictDuality = None, table=None) -> dict:
+    t = _LabelTable() if table is None else table
 
     def faces(n, idxs):
-        return [_enc_map(s.face[(n, i)], memo) for i in idxs]
+        return [t.map(s.face[(n, i)]) for i in idxs]
 
     def degens(n, idxs):
-        return [_enc_map(s.degen[(n, i)], memo) for i in idxs]
+        return [t.map(s.degen[(n, i)]) for i in idxs]
 
     out = {
-        "S0": [enc_label(x, memo) for x in s.s0],
-        "S1": [enc_label(x, memo) for x in s.s1],
-        "S2": [enc_label(x, memo) for x in s.s2],
+        "S0": t.labels(s.s0),
+        "S1": t.labels(s.s1),
+        "S2": t.labels(s.s2),
         "d": {"1": faces(1, (0, 1)), "2": faces(2, (0, 1, 2))},
         "s": {"0": degens(0, (0,)), "1": degens(1, (0, 1))},
     }
     if tau is not None:
-        out["tau"] = {"1": _enc_map(tau.tau1, memo), "2": _enc_map(tau.tau2, memo)}
+        out["tau"] = {"1": t.map(tau.tau1), "2": t.map(tau.tau2)}
     return out
 
 
@@ -285,16 +357,14 @@ def sset_from_json(d: dict, memo=None):
         raise SerializationError(f"bad simplicial set: {exc}") from exc
 
 
-def presheaf_map_to_json(m: PresheafMap, memo=None) -> dict:
-    return {enc_label(p, memo): _enc_map(m.comp[p], memo) for p in m.dom.base.points}
+def presheaf_map_to_json(m: PresheafMap, table=None) -> dict:
+    t = _AtomTable() if table is None else table
+    points = m.dom.base.points
+    return t.keyed(points, (t.map(m.comp[p]) for p in points))
 
 
 def presheaf_map_from_json(d: dict, dom: Presheaf, cod: Presheaf, memo=None) -> PresheafMap:
     return PresheafMap(dom, cod, {dec_label(p, memo): _dec_map(m, memo) for p, m in d.items()})
-
-
-def _enc_carriers(carrier: dict, memo) -> dict:
-    return {enc_label(i, memo): [enc_label(r, memo) for r in rs] for i, rs in carrier.items()}
 
 
 def _dec_carriers(d: dict, memo) -> dict:
@@ -304,10 +374,10 @@ def _dec_carriers(d: dict, memo) -> dict:
 
 def _maps_to_json(carrier: dict, key: str, maps: dict) -> dict:
     """Carriers and one map per key: index descent data and actions."""
-    memo = {}
+    t = _LabelTable()
     return {
-        "carriers": _enc_carriers(carrier, memo),
-        key: {enc_label(l, memo): _enc_map(m, memo) for l, m in maps.items()},
+        "carriers": t.keyed(carrier, map(t.labels, carrier.values())),
+        key: t.keyed(maps, map(t.map, maps.values())),
     }
 
 
@@ -325,16 +395,17 @@ def _maps_from_json(d: dict, key: str, what: str):
 def _tables_to_json(carrier: dict, key: str, tables: dict) -> dict:
     """Carriers and one map per key, point and element: cover and family
     descent data."""
-    memo = {}
+    t = _LabelTable()
+
+    def by_element(table):
+        return t.keyed(table, map(t.map, table.values()))
+
+    def by_point(tables):
+        return t.keyed(tables, map(by_element, tables.values()))
+
     return {
-        "carriers": _enc_carriers(carrier, memo),
-        key: {
-            enc_label(l, memo): {
-                enc_label(p, memo): {enc_label(e, memo): _enc_map(m, memo) for e, m in table.items()}
-                for p, table in by_point.items()
-            }
-            for l, by_point in tables.items()
-        },
+        "carriers": t.keyed(carrier, map(t.labels, carrier.values())),
+        key: t.keyed(tables, map(by_point, tables.values())),
     }
 
 
@@ -378,15 +449,15 @@ def udescent_from_json(d: dict, cover: Family):
 
 def selfdual_family_to_json(sf) -> dict:
     f = sf.base
-    memo = {}
+    t = _LabelTable()
 
     def maps(items):
-        return {key: presheaf_map_to_json(m, memo) for key, m in items}
+        return {key: presheaf_map_to_json(m, t) for key, m in items}
 
     return {
         "poset": poset_to_json(f.h0.base),
-        "sset": sset_to_json(f.sset, sf.tau_s, memo),
-        "levels": {str(n): presheaf_to_json(x, memo) for n, x in enumerate((f.h0, f.h1, f.h2))},
+        "sset": sset_to_json(f.sset, sf.tau_s, t),
+        "levels": {str(n): presheaf_to_json(x, t) for n, x in enumerate((f.h0, f.h1, f.h2))},
         "faces": maps((f"{n},{i}", m) for (n, i), m in sorted(f.face.items())),
         "degens": maps((f"{n},{i}", m) for (n, i), m in sorted(f.degen.items())),
         "zeta": maps((str(n), f.zeta[n]) for n in (0, 1, 2)),
