@@ -3,7 +3,9 @@
 Subcommands: ``nerve``, ``refine``, ``groupoid``, ``descend``,
 ``progroupoid``.  All reports are JSON with sorted keys, byte-identical
 across runs for identical inputs and budgets.  Exit codes: 0 success, 1
-mathematical failure (violations or false verdicts), 2 input error.
+mathematical failure (violations or false verdicts), 2 input error,
+including a file that cannot be read, is not UTF-8, nests too deeply to
+read or cannot be written.
 
 Budgets default from the environment: ``TOPOSDESCENT_WORD_BUDGET``,
 ``TOPOSDESCENT_ACTION_BOUND``, ``TOPOSDESCENT_SPAN_BOUND``.
@@ -74,6 +76,10 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8: {exc}")
+    except RecursionError:
+        raise InputError(f"{path}: JSON nests too deeply to read")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
@@ -88,15 +94,17 @@ def _load_cover(path):
 def _emit(report, out):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
 
 def _write(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
 
 
 def cmd_nerve(args):

@@ -15,6 +15,12 @@ triple looks up its partners instead of trying every combination.  The
 coverage check (``hypercover_report``) and ``check_epi_criteria`` read
 only the fibers of the limits; ``cosk_data`` builds the same fibers into
 presheaves with their restrictions.
+
+The refinement builder (``_build_refinement``) writes every value of a
+face, degeneracy, zeta or tau map as the codomain's own object, read off by
+its place: the enumerated simplex label, or the element of H0, H1 or H2
+listed there.  A refined family so holds each label once, however many maps
+name it, and a lookup of one of its values finds the stored key itself.
 """
 
 from __future__ import annotations
@@ -379,6 +385,12 @@ def _two_simplices(by_pair, index, span, vertices, hom_list):
         yield (l, t, r), out
 
 
+def _paired(runs):
+    """The map that sends the elements of the first run of each pair, place
+    by place, to those of the second."""
+    return {e: f for a, b in runs for e, f in zip(a, b)}
+
+
 def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
     """Assemble the self-dual simplicial family determined by a span class.
 
@@ -390,6 +402,13 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
     boundary triangles in label order and lists each one's maps in the
     order of the vertex index and the leg ordinals, so the 2-simplices come
     out sorted and are not sorted again.
+
+    Every value of a face, degeneracy, zeta or tau map is the codomain's own
+    object, read off by its place: a simplex label built from its parts is
+    replaced by the enumerated label at its ordinal, an element of H0 is
+    looked up in its fiber, and an element of H1 or H2 is the one at the
+    place of its vertex element in the run of its simplex.  So no value is a
+    fresh tuple, and equal labels inside the family are one object.
     """
     comps = family_components(cover)
     base = cover.total.base
@@ -416,19 +435,29 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
 
     by_pair = _by_pair(s1, lambda lab: (record[lab][0].i, record[lab][0].j))
 
+    # each 2-simplex: its ordinal in ``s2``, its boundary, its vertex index
+    # and its three maps into the boundary's vertices
     s2_faces = {}
     span = {lab: s for lab, (s, _) in record.items()}
     for ends, maps in _two_simplices(by_pair, cover.index, span.__getitem__, vertices, hom_list):
         for ci_w, (xo, mx), (yo, my), (zo, mz) in maps:
-            s2_faces[("sp2", *ends, ci_w, xo, yo, zo)] = (ends, ci_w, (mx, my, mz))
+            w = ("sp2", *ends, ci_w, xo, yo, zo)
+            s2_faces[w] = (len(s2_faces), ends, ci_w, (mx, my, mz))
     s2 = tuple(s2_faces)
+
+    def s2_ordinal(w, culprit):
+        # a 2-simplex built from the parts of ``culprit`` must have been
+        # enumerated
+        if w not in s2_faces:
+            raise InvariantError(culprit)
+        return s2_faces[w][0]
 
     face = {
         (1, 0): {lab: lab[2] for lab in s1},
         (1, 1): {lab: lab[1] for lab in s1},
-        (2, 0): {w: ends[2] for w, (ends, _, _) in s2_faces.items()},
-        (2, 1): {w: ends[1] for w, (ends, _, _) in s2_faces.items()},
-        (2, 2): {w: ends[0] for w, (ends, _, _) in s2_faces.items()},
+        (2, 0): {w: ends[2] for w, (_, ends, _, _) in s2_faces.items()},
+        (2, 1): {w: ends[1] for w, (_, ends, _, _) in s2_faces.items()},
+        (2, 2): {w: ends[0] for w, (_, ends, _, _) in s2_faces.items()},
     }
 
     def degen1(lab, which):
@@ -438,41 +467,37 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
         _, idords = hom_list(ci, ("vtx", s.vertex.key()), s.vertex)
         idord = idords[PresheafMap.identity(s.vertex).key()]
         if which == 0:
-            return ("sp2", ident_lab[s.i], lab, lab, ci, lab[4], idord, idord)
-        return ("sp2", lab, lab, ident_lab[s.j], ci, idord, idord, lab[5])
+            m = ("sp2", ident_lab[s.i], lab, lab, ci, lab[4], idord, idord)
+        else:
+            m = ("sp2", lab, lab, ident_lab[s.j], ci, idord, idord, lab[5])
+        return s2_ordinal(m, m)
 
+    degen_ord = [{lab: degen1(lab, k) for lab in s1} for k in (0, 1)]
     degen = {
         (0, 0): {i: ident_lab[i] for i in cover.index},
-        (1, 0): {lab: degen1(lab, 0) for lab in s1},
-        (1, 1): {lab: degen1(lab, 1) for lab in s1},
+        (1, 0): {lab: s2[o] for lab, o in degen_ord[0].items()},
+        (1, 1): {lab: s2[o] for lab, o in degen_ord[1].items()},
     }
-    # Degenerate 2-simplices built above must have been enumerated.
-    for m in itertools.chain(degen[(1, 0)].values(), degen[(1, 1)].values()):
-        if m not in s2_faces:
-            raise InvariantError(m)
-
     sset = TruncSSet._trusted(cover.index, s1, s2, face, degen)
 
-    op1 = {lab: ("sp", lab[2], lab[1], lab[3], lab[5], lab[4]) for lab in s1}
+    s1_ordinal = {lab: o for o, lab in enumerate(s1)}
+    op1 = {}
     for lab in s1:
-        if op1[lab] not in record:
+        lop = ("sp", lab[2], lab[1], lab[3], lab[5], lab[4])
+        if lop not in s1_ordinal:
             raise InvariantError(lab)
-
-    def op2(w):
-        _, llab, tlab, rlab, ci, xo, yo, zo = w
-        return ("sp2", op1[rlab], op1[tlab], op1[llab], ci, zo, yo, xo)
-
-    tau_s = StrictDuality(tau1=op1, tau2={w: op2(w) for w in s2})
-    for w in s2:
-        if tau_s.tau2[w] not in s2_faces:
-            raise InvariantError(w)
+        op1[lab] = s1[s1_ordinal[lop]]
+    op_ord = [
+        s2_ordinal(("sp2", op1[w[3]], op1[w[2]], op1[w[1]], w[4], w[7], w[6], w[5]), w) for w in s2
+    ]
+    tau_s = StrictDuality(tau1=op1, tau2={w: s2[o] for w, o in zip(s2, op_ord)})
 
     # Each level of ``sset`` is sorted and has no repeats, so it serves as
     # it is for the coproduct tags and for the fiber of its constant presheaf.
     h0 = cover.total
     h1 = _coproduct([record[lab][0].vertex for lab in sset.s1], sset.s1)
     if sset.s2:
-        h2 = _coproduct([vertices[ci] for _, ci, _ in s2_faces.values()], sset.s2)
+        h2 = _coproduct([vertices[ci] for _, _, ci, _ in s2_faces.values()], sset.s2)
     else:
         h2 = _constant((), base)
 
@@ -481,39 +506,60 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
             dom, cod, {p: {e: f(p, e) for e in dom.fibers[p]} for p in base.points}
         )
 
-    hface = {
-        (1, 0): tagmap(h1, h0, lambda p, e: record[e[0]][0].right.apply(p, e[1])),
-        (1, 1): tagmap(h1, h0, lambda p, e: record[e[0]][0].left.apply(p, e[1])),
-    }
-    hdegen = {
-        (0, 0): tagmap(h0, h1, lambda p, e: (ident_lab[cover.zeta(p, e)], e)),
-        (1, 0): tagmap(h1, h2, lambda p, e: (degen[(1, 0)][e[0]], e[1])),
-        (1, 1): tagmap(h1, h2, lambda p, e: (degen[(1, 1)][e[0]], e[1])),
-    }
-    # H2 lists the elements over each 2-simplex in turn, in the order of
-    # ``s2``, so its maps are read off simplex by simplex.
-    d0, d1, d2, z2, t2 = ({p: {} for p in base.points} for _ in range(5))
+    # H1 and H2 list the elements over each simplex in turn, in the order of
+    # its level, as one run in the order of the simplex's vertex fiber.  A
+    # simplex and its opposite or degenerate simplex share their vertex, so
+    # the maps between their runs go place by place.  Per point, ``h1_at``
+    # holds the H1 elements over each 1-simplex by vertex element, and
+    # ``start`` where the run of each 2-simplex begins in the H2 fiber.
+    h0_at = {p: dict(zip(h0.fibers[p], h0.fibers[p])) for p in base.points}
+    h1_at = {}
+    d0, d1, d2, z2, t2, t1, e0, e1 = ({} for _ in range(8))
     for p in base.points:
-        elems = iter(h2.fibers[p])
-        for w, ((llab, tlab, rlab), ci, (mx, my, mz)) in s2_faces.items():
-            wop = tau_s.tau2[w]
+        h1_at[p] = at = {}
+        elems = iter(h1.fibers[p])
+        for lab in s1:
+            run = itertools.islice(elems, len(record[lab][0].vertex.fibers[p]))
+            at[lab] = {e[1]: e for e in run}
+        fib = h2.fibers[p]
+        sizes = (len(vertices[ci].fibers[p]) for _, _, ci, _ in s2_faces.values())
+        start = list(itertools.accumulate(sizes, initial=0))
+        t1[p] = _paired((at[lab].values(), at[op1[lab]].values()) for lab in s1)
+        e0[p], e1[p] = (
+            _paired((at[lab].values(), fib[start[o] : start[o + 1]]) for lab, o in ords.items())
+            for ords in degen_ord
+        )
+        d0[p], d1[p], d2[p], z2[p], t2[p] = {}, {}, {}, {}, {}
+        for w, (o, (llab, tlab, rlab), ci, (mx, my, mz)) in s2_faces.items():
+            a0, a1, a2 = at[rlab], at[tlab], at[llab]
             cx, cy, cz = mx.comp[p], my.comp[p], mz.comp[p]
-            for e in itertools.islice(elems, len(vertices[ci].fibers[p])):
+            first = start[op_ord[o]]
+            for k, e in enumerate(fib[start[o] : start[o + 1]]):
                 x = e[1]
-                d0[p][e] = (rlab, cz[x])
-                d1[p][e] = (tlab, cy[x])
-                d2[p][e] = (llab, cx[x])
+                d0[p][e] = a0[cz[x]]
+                d1[p][e] = a1[cy[x]]
+                d2[p][e] = a2[cx[x]]
                 z2[p][e] = w
-                t2[p][e] = (wop, x)
+                t2[p][e] = fib[first + k]
+
+    hface = {
+        (1, 0): tagmap(h1, h0, lambda p, e: h0_at[p][record[e[0]][0].right.apply(p, e[1])]),
+        (1, 1): tagmap(h1, h0, lambda p, e: h0_at[p][record[e[0]][0].left.apply(p, e[1])]),
+    }
     for k, comp in enumerate((d0, d1, d2)):
         hface[(2, k)] = PresheafMap._trusted(h2, h1, comp)
+    hdegen = {
+        (0, 0): tagmap(h0, h1, lambda p, e: h1_at[p][ident_lab[cover.zeta(p, e)]][e]),
+        (1, 0): PresheafMap._trusted(h1, h2, e0),
+        (1, 1): PresheafMap._trusted(h1, h2, e1),
+    }
     zeta = (
         cover.struct_map,
         tagmap(h1, _constant(sset.s1, base), lambda p, e: e[0]),
         PresheafMap._trusted(h2, _constant(sset.s2, base), z2),
     )
     fam = SimplicialFamily(h0, h1, h2, hface, hdegen, sset, zeta)
-    tau1 = tagmap(h1, h1, lambda p, e: (tau_s.tau1[e[0]], e[1]))
+    tau1 = PresheafMap._trusted(h1, h1, t1)
     return SelfDualFamily(fam, tau_s, tau1, PresheafMap._trusted(h2, h2, t2))
 
 

@@ -1,8 +1,9 @@
 """The alternating-pairs harness (``tools/bench_pairs.py``) on canned runs.
 
-No runner process is started: the summary is checked on runner lines made
-up here and on the recorded pairs of ``BENCH_21.json``, whose summary an
-earlier harness wrote.
+No runner process is started: the summary is checked on runner lines and
+stdout made up here, on the recorded pairs of ``BENCH_21.json``, whose
+summary an earlier harness wrote, and on those of ``BENCH_23.json``, whose
+runs carry no ``calib_s``.
 """
 
 import importlib.util
@@ -64,6 +65,55 @@ def test_recorded_summaries_are_reproduced():
         assert got["pairs"] == want["pairs"] and got["all_correct"] == want["all_correct"]
         for metric in bench_pairs.METRICS:
             assert {f: got[metric][f] for f in want[metric]} == want[metric]
+
+
+def test_runs_without_calibration_summarise_as_recorded():
+    for name in ("BENCH_21.json", "BENCH_23.json"):
+        doc = json.loads((ROOT / name).read_text())
+        for key, runs in doc["pairs"].items():
+            assert not any("calib_s" in r for r in runs)
+            got = bench_pairs.summarise(runs)
+            assert "host.calib_s" not in got
+            if name == "BENCH_23.json":
+                assert got == doc["summary"][key]
+
+
+RESULT = json.dumps(line(1.25))
+
+
+@pytest.mark.parametrize(
+    "stdout, has_result, calib",
+    [
+        (f"workload refine seed 0: 3 passes\nhost.calib_s 0.081234 s\npass_s 1.25 s\n{RESULT}\n", True, 0.081234),
+        (f"pass_s 1.25 s\n{RESULT}\n", True, None),
+        (f"host.calib_s slow s\nhost.calib_s 0.1\n{RESULT}", True, None),
+        # the calibration line counts only before the result line
+        (f"{RESULT}\nhost.calib_s 0.081234 s\n", False, None),
+    ],
+)
+def test_calibration_is_read_off_the_stdout(stdout, has_result, calib):
+    got = bench_pairs.read_stdout(stdout)
+    assert got.get("calib_s") == calib
+    assert got["line"] == (json.loads(RESULT) if has_result else None)
+
+
+def test_empty_or_broken_stdout_has_no_line():
+    assert bench_pairs.read_stdout("") == {"line": None}
+    assert bench_pairs.read_stdout("host.calib_s 0.09 s\n{oops") == {"line": None, "calib_s": 0.09}
+
+
+def test_summary_gives_quartiles_of_the_calibration():
+    runs = canned([1.0, 0.9, 1.1, 1.2, 0.8], [0.7, 0.8, 1.2, 0.75, 0.6])
+    plain = bench_pairs.summarise(runs)
+    calib = {"parent": [0.10, 0.12, 0.08, 0.11, 0.09], "change": [0.14, 0.10, 0.12, 0.16, 0.13]}
+    for run in runs:
+        run["calib_s"] = calib[run["side"]][run["pair"] - 1]
+    s = bench_pairs.summarise(runs)
+    assert s["host.calib_s"] == {
+        "parent_q1_median_q3": [0.09, 0.1, 0.11],
+        "change_q1_median_q3": [0.12, 0.13, 0.14],
+    }
+    assert {k: v for k, v in s.items() if k != "host.calib_s"} == plain
 
 
 def test_pairs_alternate_and_append(monkeypatch):

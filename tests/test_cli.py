@@ -318,3 +318,81 @@ def test_groupoid_rejects_bad_sset(tmp_path, capsys, s0, message):
     assert main(["groupoid", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: bad simplicial set: ") and message in err
+
+
+@pytest.fixture
+def argv_of(files, two_singleton_cover):
+    """A valid command line for each subcommand, without ``--out``."""
+    from toposdescent.serialize import sset_to_json
+
+    tmp, cover, datum, _ = files
+    sset = tmp / "sset.json"
+    sset.write_text(json.dumps(sset_to_json(*td.cech_nerve(two_singleton_cover))))
+    index = tmp / "index.json"
+    index.write_text(
+        json.dumps({"nodes": [{"name": "A", "cover": family_to_json(two_singleton_cover)}], "edges": []})
+    )
+    return {
+        "nerve": ["nerve", cover],
+        "refine": ["refine", cover, "--class", "connected"],
+        "groupoid": ["groupoid", str(sset)],
+        "descend": ["descend", cover, datum, "--check"],
+        "progroupoid": ["progroupoid", str(index)],
+    }
+
+
+def one_error_line(capsys, start):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {start}") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["nerve", "refine", "groupoid", "descend", "progroupoid"])
+def test_out_into_a_missing_directory_is_an_input_error(argv_of, tmp_path, command, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "report.json"
+    assert main(argv_of[command] + ["--out", str(target)]) == 2
+    one_error_line(capsys, f"cannot write {target}: ")
+    assert main(argv_of[command] + ["--out", str(tmp_path)]) == 2
+    one_error_line(capsys, f"cannot write {tmp_path}: ")
+    assert main(argv_of[command] + ["--out", str(tmp_path / "report.json")]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["nerve", "groupoid"])
+def test_dot_into_a_missing_directory_is_an_input_error(argv_of, tmp_path, command, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "graph.dot"
+    assert main(argv_of[command] + ["--dot", str(target)]) == 2
+    one_error_line(capsys, f"cannot write {target}: ")
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "command, place",
+    [
+        ("nerve", 1),
+        ("refine", 1),
+        ("refine", "zero"),
+        ("refine", "one"),
+        ("groupoid", 1),
+        ("descend", 1),
+        ("descend", 2),
+        ("progroupoid", 1),
+    ],
+)
+def test_input_that_is_not_utf8_is_an_input_error(argv_of, tmp_path, command, place, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"x": 1}')
+    argv = list(argv_of[command])
+    if isinstance(place, int):
+        argv[place] = str(bad)
+    else:
+        argv[argv.index("connected")] = f"{place}:{bad}"
+    assert main(argv) == 2
+    one_error_line(capsys, f"{bad}: not UTF-8: ")
+
+
+def test_input_nested_too_deeply_is_an_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["nerve", str(deep)]) == 2
+    one_error_line(capsys, f"{deep}: JSON nests too deeply to read")

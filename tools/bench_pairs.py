@@ -6,7 +6,9 @@
 Runs ``perfbench/run.py`` from the root of each tree, one process at a
 time.  Odd pairs run the change first and even pairs the parent first, so
 a drift of the host's speed falls on both sides alike.  Each run keeps the
-runner's last stdout line, its exit code and its wall time.
+runner's last stdout line, its exit code and its wall time, and the
+``host.calib_s`` line the runner prints before it, the median time of a
+fixed calibration loop, as ``calib_s``.
 
 The BENCH file is read if it exists and written back.  Untraced runs
 (``--trace 0``) are appended to ``pairs["<workload>/seed<seed>"]`` and that
@@ -14,7 +16,10 @@ key's ``summary`` is recomputed from all its runs: for each end-to-end
 metric, the parent's and the change's quartiles (median in the middle),
 the change's median over the parent's less one, the number of pairs the
 change is lower in, the parent's median less the change's over the
-parent's interquartile range, and the per-pair values.  Traced runs
+parent's interquartile range, and the per-pair values.  When the runs
+carry ``calib_s``, ``host.calib_s`` gives each side's quartiles of it, so a
+swing of the host's speed between batches shows in the summary; runs
+without it summarise as before.  Traced runs
 (``--trace 1``) are appended to ``traced["runs"]`` with their per-layer
 metrics and the job times of their traced pass (each job's wall time and
 the self times of the layers it calls).  Other keys (``about``,
@@ -42,19 +47,33 @@ def command(workload, seed, seconds, trace):
     ]
 
 
+def read_stdout(stdout):
+    """A runner's stdout: ``line``, its last line as JSON (``None`` if that
+    line is not JSON), and ``calib_s`` if a ``host.calib_s <x> s`` line
+    comes before it."""
+    lines = stdout.strip().splitlines()
+    try:
+        out = {"line": json.loads(lines[-1]) if lines else None}
+    except json.JSONDecodeError:
+        out = {"line": None}
+    for text in lines[:-1]:
+        words = text.split()
+        if len(words) == 3 and words[0] == "host.calib_s" and words[2] == "s":
+            try:
+                out["calib_s"] = float(words[1])
+            except ValueError:
+                pass
+    return out
+
+
 def run_once(tree, argv, trace_file=None):
-    """One runner process in ``tree``: its exit code, wall time and last
-    stdout line as JSON (``None`` if that line is not JSON), and with a
-    ``trace_file`` (relative to ``tree``) the traced pass's job times."""
+    """One runner process in ``tree``: its exit code, wall time and
+    ``read_stdout`` fields, and with a ``trace_file`` (relative to ``tree``)
+    the traced pass's job times."""
     start = time.perf_counter()
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     wall = time.perf_counter() - start
-    lines = proc.stdout.strip().splitlines()
-    try:
-        line = json.loads(lines[-1]) if lines else None
-    except json.JSONDecodeError:
-        line = None
-    run = {"rc": proc.returncode, "wall_s": round(wall, 1), "line": line}
+    run = {"rc": proc.returncode, "wall_s": round(wall, 1), **read_stdout(proc.stdout)}
     if trace_file is not None and proc.returncode == 0:
         jobs = json.loads((Path(tree) / trace_file).read_text())["jobs"]
         run["jobs"] = {
@@ -117,6 +136,9 @@ def summarise(runs):
             "per_pair_parent": [round(x, 4) for x in parent],
             "per_pair_change": [round(x, 4) for x in change],
         }
+    calib = {side: [p[side]["calib_s"] for p in full if "calib_s" in p[side]] for side in SIDES}
+    if all(len(xs) >= 2 for xs in calib.values()):
+        out["host.calib_s"] = {f"{side}_q1_median_q3": _quartiles(calib[side]) for side in ("parent", "change")}
     return out
 
 
