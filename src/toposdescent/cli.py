@@ -18,11 +18,12 @@ import json
 import os
 import sys
 
-from .covering import is_covering_projection, main1_forward, main2_equivalence
+from .covering import glue, is_covering_projection, main1_forward, main2_equivalence
 from .descent import h_to_u, induced_h_from_s, validate_u_descent
 from .dot import presentation_dot, sset_dot
 from .errors import ConditionGFailure, EmptyComponentError
 from .family import ClassSpan, condition_g, validate_selfdual
+from .fintopos import family_components
 from .groupoid import fundamental_presentation, g_fundamental_presentation
 from .hypercover import (
     SpanClass,
@@ -41,8 +42,11 @@ from .serialize import (
     family_from_json,
     presheaf_from_json,
     presheaf_map_from_json,
+    presheaf_to_json,
     sdescent_to_json,
+    selfdual_family_from_json,
     selfdual_family_to_json,
+    sset_from_json,
     sset_to_json,
     udescent_from_json,
 )
@@ -141,8 +145,6 @@ def _load_span_class(spec, cover):
     if kind == "one":
         data = _load_json(path)
         try:
-            from .fintopos import family_components
-
             comps = family_components(cover)
             memo = {}
             spans = []
@@ -166,14 +168,11 @@ def cmd_refine(args):
     try:
         if kind == "connected":
             fam = connected_refinement(cover, require_connected=args.require_connected)
-        elif kind == "zero":
-            if len(cls.members) > args.span_bound:
-                raise InputError("span class exceeds the size bound")
-            fam = zero_span_refinement(cover, cls)
         else:
             if len(cls.members) > args.span_bound:
                 raise InputError("span class exceeds the size bound")
-            fam = one_span_refinement(cover, cls)
+            build = zero_span_refinement if kind == "zero" else one_span_refinement
+            fam = build(cover, cls)
     except (EmptyComponentError, ValueError) as exc:
         raise InputError(str(exc))
     violations = validate_selfdual(fam)
@@ -188,16 +187,12 @@ def cmd_refine(args):
     if not hyper:
         raw = hypercover_report(fam.base)
         report["uncovered"] = {
-            "level1": {
+            level: {
                 enc_label(k): [[enc_label(p), enc_label(e)] for p, e in v]
-                for k, v in raw["level1"].items()
+                for k, v in raw[level].items()
                 if v
-            },
-            "level2": {
-                enc_label(k): [[enc_label(p), enc_label(e)] for p, e in v]
-                for k, v in raw["level2"].items()
-                if v
-            },
+            }
+            for level in ("level1", "level2")
         }
     _emit(report, args.out)
     if violations or not cond or not hyper:
@@ -210,16 +205,12 @@ def cmd_groupoid(args):
     if "S0" in data:
         if args.g:
             raise InputError("--g needs a full simplicial family, not a bare simplicial set")
-        from .serialize import sset_from_json
-
         try:
             sset, _ = sset_from_json(data)
         except SerializationError as exc:
             raise InputError(f"{args.family}: {exc}")
         pres = fundamental_presentation(sset)
     else:
-        from .serialize import selfdual_family_from_json
-
         try:
             fam = selfdual_family_from_json(data)
         except SerializationError as exc:
@@ -268,9 +259,6 @@ def cmd_descend(args):
             raise MathFailure(report)
         return report
     if args.mode == "glue":
-        from .covering import glue
-        from .serialize import presheaf_to_json
-
         lc = glue(cover, datum)
         report = {"X_size": lc.space.size(), "X": presheaf_to_json(lc.space)}
         _emit(report, args.out)

@@ -32,7 +32,7 @@ from .descent import (
     validate_u_descent,
 )
 from .errors import EmptyComponentError, InvariantError
-from .family import ClassSpan, SelfDualFamily, span_morphism_exists, span_of_1simplex
+from .family import ClassSpan, SelfDualFamily, condition_g, span_morphism_exists, span_of_1simplex
 from .fintopos import (
     Family,
     Presheaf,
@@ -44,7 +44,13 @@ from .fintopos import (
     sorted_labels,
 )
 from .groupoid import enumerate_actions, g_fundamental_presentation
-from .hypercover import SpanClassSp, _unique_by, one_span_refinement, representable_span
+from .hypercover import (
+    SpanClassSp,
+    _unique_by,
+    is_hypercover,
+    one_span_refinement,
+    representable_span,
+)
 from .simplicial import _overlaps, _pair_elements
 
 
@@ -434,9 +440,6 @@ def main2_equivalence(cover: Family, f: SelfDualFamily, bound: int = 2) -> MainT
     Hom sets are counted, not listed (``_hom_counts``): a datum is the
     coproduct of its orbits, so each count is a product of per-orbit
     counts.  A negative bound raises ``ValueError``."""
-    from .family import condition_g
-    from .hypercover import is_hypercover
-
     if not condition_g(f):
         raise ValueError("the refinement does not satisfy the filling condition")
     if not is_hypercover(f.base, cover):

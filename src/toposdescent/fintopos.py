@@ -41,6 +41,7 @@ positional view of a simplicial set).
 
 from __future__ import annotations
 
+import collections
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -105,25 +106,31 @@ class FinPoset:
 
     @classmethod
     def from_pairs(cls, points, pairs=()):
-        """Build a poset from generating ``p <= q`` pairs (closure is taken)."""
+        """Build a poset from generating ``p <= q`` pairs.
+
+        The pairs are checked in the order given; the first that names an
+        unknown point raises.  The reflexive-transitive closure is taken
+        through one point at a time (Warshall's algorithm): after the turn
+        of ``k``, every point below ``k`` is below all that ``k`` is below.
+        Antisymmetry is checked in label order, so the error names the
+        least pair ``p < q`` (by ``label_key``, on ``p`` then ``q``) with
+        ``p <= q <= p``, whatever the hash seed.
+        """
         points = sorted_labels(points)
-        pointset = set(points)
-        rel = {(p, p) for p in points}
+        up = {p: {p} for p in points}
         for p, q in pairs:
-            if p not in pointset or q not in pointset:
+            if p not in up or q not in up:
                 raise ValueError(f"leq pair ({p!r}, {q!r}) mentions unknown point")
-            rel.add((p, q))
-        changed = True
-        while changed:
-            changed = False
-            for (a, b), (c, d) in itertools.product(tuple(rel), tuple(rel)):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
-        for p, q in rel:
-            if p != q and (q, p) in rel:
-                raise ValueError(f"relation is not antisymmetric: {p!r} ~ {q!r}")
-        return cls(points=points, relation=frozenset(rel))
+            up[p].add(q)
+        for k in points:
+            for above in up.values():
+                if k in above:
+                    above |= up[k]
+        for i, p in enumerate(points):
+            for q in points[i + 1:]:
+                if p != q and q in up[p] and p in up[q]:
+                    raise ValueError(f"relation is not antisymmetric: {p!r} ~ {q!r}")
+        return cls(points=points, relation=frozenset((p, q) for p in points for q in up[p]))
 
     @classmethod
     def point(cls):
@@ -540,34 +547,27 @@ def quotient_by_pairs(x: Presheaf, pairs):
     """Quotient ``x`` by the pointwise equivalence generated by the pairs,
     saturated under naturality; returns (quotient, projection).
 
-    Each pair is ``(point, element, element)``.  Saturation: whenever two
-    elements are identified at ``q``, their restrictions are identified at
-    every ``p <= q``.  Class representatives are the least labels, so the
-    result is canonical.
+    Each pair is ``(point, element, element)``; every pair is checked before
+    any is used, and the first that names an element outside its fiber
+    raises.  Saturation: whenever two elements are identified at ``q``,
+    their restrictions are identified at every ``p < q``.  The pairs go
+    through a queue, and each union at ``q`` that merges two classes puts
+    the restricted pair at every ``p < q`` on it; a pair whose elements are
+    already one class adds nothing, as its restrictions are already joined
+    by the unions that made it so.  Class representatives are the least
+    labels, so the result is canonical.
     """
-    find, union = union_find(x.elements())
-    for p, a, b in pairs:
+    queue = collections.deque(pairs)
+    for p, a, b in queue:
         if a not in x.fiber_set(p) or b not in x.fiber_set(p):
             raise ValueError(f"pair references unknown elements at {p!r}")
-        union((p, a), (p, b))
     strict = x.base.strict_pairs()
-    changed = True
-    while changed:
-        changed = False
-        groups = {}
-        for el in x.elements():
-            groups.setdefault(find(el), []).append(el)
-        for members in groups.values():
-            byp = {}
-            for p, e in members:
-                byp.setdefault(p, []).append(e)
-            for q, es in byp.items():
-                rep = es[0]
-                for e in es[1:]:
-                    for p, qq in strict:
-                        if qq == q:
-                            if union((p, x.restrict(p, q, rep)), (p, x.restrict(p, q, e))):
-                                changed = True
+    below = {q: [p for p, qq in strict if qq == q] for q in x.base.points}
+    find, union = union_find(x.elements())
+    while queue:
+        q, a, b = queue.popleft()
+        if union((q, a), (q, b)):
+            queue.extend((p, x.restrict(p, q, a), x.restrict(p, q, b)) for p in below[q])
     rep_of = {el: find(el) for el in x.elements()}
     fibers = {
         p: sorted_labels({rep_of[(p, e)][1] for e in x.fibers[p]}) for p in x.base.points

@@ -29,6 +29,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ConditionGFailure
+from .family import condition_g, span_morphism_pairs
 from .fintopos import label_key, union_find
 from .simplicial import TruncSSet
 
@@ -160,8 +161,6 @@ def g_fundamental_presentation(sf) -> GroupoidPresentation:
     condition: the fundamental presentation of the index plus one relation
     for every ordered pair of parallel 1-simplices whose spans are linked
     by a span morphism."""
-    from .family import condition_g, span_morphism_pairs
-
     if not condition_g(sf):
         raise ConditionGFailure("the family does not satisfy the filling condition")
     identified = {}

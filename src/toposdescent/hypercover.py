@@ -564,13 +564,18 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
 
 
 def _all_spans(cover: Family, cls: SpanClass):
+    """Every span over every ordered pair of components with vertex in the
+    class, in the order of the pair, the member and the two legs' places in
+    ``hom_enumerate`` order; the maps from a member into a component are
+    enumerated once."""
     comps = family_components(cover)
+    hom_list = _hom_lists(cls.members)
     spans = []
     for i, j in itertools.product(cover.index, repeat=2):
-        for v in cls.members:
-            for u in hom_enumerate(v, comps[i]):
-                for w in hom_enumerate(v, comps[j]):
-                    spans.append(ClassSpan(i, j, v, u, w))
+        for ci, v in enumerate(cls.members):
+            lefts = hom_list(ci, ("comp", i), comps[i])[0]
+            rights = hom_list(ci, ("comp", j), comps[j])[0]
+            spans.extend(ClassSpan(i, j, v, u, w) for u in lefts for w in rights)
     return spans
 
 

@@ -13,6 +13,7 @@ triangles lift as soon as pairs do).
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass
 
 from .covering import _structure_maps_commute
@@ -24,45 +25,43 @@ from .family import (
     morphism_commutes_with_dualities,
     validate_simplicial_family_morphism,
 )
-from .fintopos import label_key
+from .fintopos import PresheafMap, label_key
 from .groupoid import (
     GroupoidPresentation,
     Verdict,
     Word,
     enumerate_actions,
     g_fundamental_presentation,
+    generator_congruence,
     word_equal,
 )
+from .hypercover import is_hypercover
 from .simplicial import SimplicialMap
 
 
 @dataclass
 class HypercoverIndex:
     """Nodes are hypercover refinements over their covers, edges are
-    refinement morphisms between them (a poset-shaped finite diagram)."""
+    refinement morphisms between them (a poset-shaped finite diagram).
+
+    Construction checks that every edge names known nodes, in edge order,
+    and that the edges form no cycle, a self-loop included; the cycle check
+    is ``graphlib.TopologicalSorter``'s."""
 
     covers: dict
     nodes: dict
     refinements: dict
 
     def __post_init__(self):
+        graph = graphlib.TopologicalSorter()
         for a, b in self.refinements:
             if a not in self.nodes or b not in self.nodes:
                 raise ValueError(f"refinement ({a!r}, {b!r}) mentions unknown node")
-        order = {}
-
-        def visit(n, stack):
-            if n in stack:
-                raise ValueError("refinement diagram has a cycle")
-            if n in order:
-                return
-            for (a, b) in self.refinements:
-                if a == n:
-                    visit(b, stack | {n})
-            order[n] = True
-
-        for n in self.nodes:
-            visit(n, frozenset())
+            graph.add(b, a)
+        try:
+            graph.prepare()
+        except graphlib.CycleError:
+            raise ValueError("refinement diagram has a cycle") from None
 
 
 def _sorted_edges(refinements):
@@ -73,8 +72,6 @@ def _sorted_edges(refinements):
 def validate_index(pi: HypercoverIndex):
     """Node and edge health: hypercovers with the filling condition, valid
     morphisms commuting with the dualities."""
-    from .hypercover import is_hypercover
-
     out = []
     for name, fam in sorted(pi.nodes.items(), key=lambda kv: label_key(kv[0])):
         cover = pi.covers[name]
@@ -154,8 +151,6 @@ def _arrow_lifts(fd: FunctorData, gen, budget, max_len):
     search; the bounded rewriting search only runs as a fallback, without
     the separating-action phase.
     """
-    from .groupoid import generator_congruence
-
     tgt = fd.target
     goal = Word(tgt.src[gen], ((gen, 1),))
     find, trivial = generator_congruence(tgt)
@@ -402,8 +397,6 @@ def inclusion_morphism(src: SelfDualFamily, tgt: SelfDualFamily) -> SimplicialFa
             raise ValueError(f"source 2-simplex {w!r} has no literal match in the target")
         a2[w] = tgt_tri[key]
     alpha = SimplicialMap(sb.sset, tb.sset, {i: i for i in sb.sset.s0}, a1, a2)
-    from .fintopos import PresheafMap
-
     h0 = PresheafMap(
         sb.h0, tb.h0, {p: {e: e for e in sb.h0.fibers[p]} for p in sb.h0.base.points}
     )

@@ -37,7 +37,10 @@ from __future__ import annotations
 
 import re
 
+from .descent import HDescentDatum, SDescentDatum, UDescentDatum
+from .family import SelfDualFamily, SimplicialFamily
 from .fintopos import Family, FinPoset, Presheaf, PresheafMap, constant_presheaf
+from .groupoid import GroupoidAction
 from .simplicial import StrictDuality, TruncSSet
 
 
@@ -430,8 +433,6 @@ def sdescent_to_json(d) -> dict:
 
 
 def sdescent_from_json(d: dict):
-    from .descent import SDescentDatum
-
     carrier, s = _maps_from_json(d, "s", "descent datum")
     return SDescentDatum(carrier=carrier, s=s)
 
@@ -441,8 +442,6 @@ def udescent_to_json(u) -> dict:
 
 
 def udescent_from_json(d: dict, cover: Family):
-    from .descent import UDescentDatum
-
     carrier, sigma = _tables_from_json(d, "sigma")
     return UDescentDatum(cover=cover, carrier=carrier, sigma=sigma)
 
@@ -466,8 +465,6 @@ def selfdual_family_to_json(sf) -> dict:
 
 
 def selfdual_family_from_json(d: dict):
-    from .family import SelfDualFamily, SimplicialFamily
-
     memo = {}
     try:
         poset = poset_from_json(d["poset"], memo)
@@ -504,8 +501,6 @@ def action_to_json(a) -> dict:
 
 
 def action_from_json(d: dict):
-    from .groupoid import GroupoidAction
-
     carrier, gen_action = _maps_from_json(d, "actions", "action")
     return GroupoidAction(carrier=carrier, gen_action=gen_action)
 
@@ -516,7 +511,5 @@ def hdescent_to_json(d) -> dict:
 
 
 def hdescent_from_json(d: dict, family):
-    from .descent import HDescentDatum
-
     carrier, sigma_hat = _tables_from_json(d, "sigma_hat")
     return HDescentDatum(family=family, carrier=carrier, sigma_hat=sigma_hat)

@@ -3,11 +3,13 @@
 No runner process is started: the summary is checked on runner lines and
 stdout made up here, on the recorded pairs of ``BENCH_21.json``, whose
 summary an earlier harness wrote, and on those of ``BENCH_23.json``, whose
-runs carry no ``calib_s``.
+runs carry no ``calib_s``.  The recorded commits are checked on temporary
+git repositories.
 """
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -141,3 +143,58 @@ def test_pairs_alternate_and_append(monkeypatch):
 def test_command_line_needs_its_trees():
     with pytest.raises(SystemExit):
         bench_pairs.main(["--workload", "descent", "--out", "BENCH_0.json"])
+
+
+def git(cwd, *args):
+    cmd = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com", *args]
+    return subprocess.run(cmd, cwd=cwd, check=True, capture_output=True, text=True).stdout.strip()
+
+
+@pytest.fixture
+def repo(tmp_path):
+    """A git work tree with one commit, holding a plain directory ``sub``."""
+    top = tmp_path / "repo"
+    (top / "sub").mkdir(parents=True)
+    (top / "sub" / "f.txt").write_text("x\n")
+    git(top, "init", "-q")
+    git(top, "add", "-A")
+    git(top, "commit", "-q", "-m", "one")
+    return top
+
+
+def test_commit_of_the_top_of_a_work_tree(repo, capsys):
+    assert bench_pairs.commit_of(repo) == git(repo, "rev-parse", "HEAD")
+    assert capsys.readouterr().err == ""
+
+
+def test_no_commit_for_a_directory_inside_another_repository(repo, capsys):
+    assert bench_pairs.commit_of(repo / "sub") is None
+    assert str(repo / "sub") in capsys.readouterr().err
+
+
+def test_no_commit_for_an_archived_tree(repo, tmp_path, capsys):
+    archive = tmp_path / "archive.tar"
+    git(repo, "archive", "-o", str(archive), "HEAD")
+    tree = tmp_path / "archived"
+    tree.mkdir()
+    subprocess.run(["tar", "-xf", str(archive), "-C", str(tree)], check=True)
+    assert (tree / "sub" / "f.txt").exists() and not (tree / ".git").exists()
+    assert bench_pairs.commit_of(tree) is None
+    assert str(tree) in capsys.readouterr().err
+
+
+def test_no_commit_before_the_first(tmp_path, capsys):
+    git(tmp_path, "init", "-q")
+    assert bench_pairs.commit_of(tmp_path) is None
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_both_commits_are_recorded(repo, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "run_pairs", lambda trees, argv, pairs, first, log, trace: canned([1.0], [0.5]))
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--parent", str(repo / "sub"), "--change", str(repo), "--workload", "words", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert doc["parent_commit"] is None
+    assert doc["change_commit"] == git(repo, "rev-parse", "HEAD")
+    assert doc["summary"]["words/seed0"] == {"pairs": 1, "all_correct": True}
+    assert str(repo / "sub") in capsys.readouterr().err

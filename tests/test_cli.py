@@ -240,6 +240,20 @@ def test_progroupoid_on_mixed_node_names(tmp_path, capsys):
     assert set(report["transitions"]) == {"1->B", "B->C"}
 
 
+@pytest.mark.parametrize("edges", [[["A", "B"], ["B", "A"]], [["A", "A"]]], ids=["2-cycle", "self-loop"])
+def test_progroupoid_on_a_cyclic_index_is_an_input_error(tmp_path, edges, capsys):
+    pt = td.FinPoset.point()
+    cover = family_to_json(td.family_from_parts(pt, {"1": td.constant_presheaf(("a",), pt)}))
+    idx = tmp_path / "index.json"
+    idx.write_text(
+        json.dumps({"nodes": [{"name": n, "cover": cover} for n in "AB"], "edges": edges})
+    )
+    assert main(["progroupoid", str(idx)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {idx}: refinement diagram has a cycle\n"
+
+
 def test_reports_are_deterministic(files, tmp_path):
     _, cover, datum, _ = files
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

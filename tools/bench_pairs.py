@@ -24,6 +24,12 @@ without it summarise as before.  Traced runs
 metrics and the job times of their traced pass (each job's wall time and
 the self times of the layers it calls).  Other keys (``about``,
 ``claim``) are kept as they are.
+
+``parent_commit`` and ``change_commit`` record the commit checked out in
+each tree, only where the tree is the top level of its own git work tree;
+elsewhere (a tree made by ``git archive``, a plain directory inside another
+repository) they are ``null`` and a warning naming the tree goes to
+stderr.
 """
 
 import argparse
@@ -167,9 +173,29 @@ def merge(doc, key, runs, trace, argv):
     return doc
 
 
-def _commit(tree):
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True)
-    return proc.stdout.strip() or None
+def _git(tree, *args):
+    try:
+        proc = subprocess.run(["git", *args], cwd=tree, capture_output=True, text=True)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def commit_of(tree):
+    """The commit checked out in ``tree``, read only when ``tree`` is the
+    top level of its own git work tree; otherwise ``None``, with a warning
+    that names the tree.  So a tree made by ``git archive`` is not
+    recorded, and neither is a plain directory inside another repository
+    recorded as that repository's HEAD."""
+    top = _git(tree, "rev-parse", "--show-toplevel")
+    own = top is not None and Path(top).resolve() == Path(tree).resolve()
+    commit = _git(tree, "rev-parse", "HEAD") if own else None
+    if commit is None:
+        print(
+            f"warning: no commit recorded for {tree}: not the top level of a git work tree with a commit",
+            file=sys.stderr,
+        )
+    return commit
 
 
 def main(argv=None):
@@ -193,7 +219,8 @@ def main(argv=None):
     trace_file = f"perfbench/out/trace-{args.workload}-seed{args.seed}.json" if args.trace else None
     runs = run_pairs(trees, argv_run, args.pairs, first, lambda s: print(s, file=sys.stderr), trace_file)
 
-    doc.setdefault("parent_commit", _commit(trees["parent"]))
+    for side in ("parent", "change"):
+        doc.setdefault(f"{side}_commit", commit_of(trees[side]))
     doc.setdefault("untraced_command", " ".join(command("<w>", "<s>", args.seconds, 0)))
     doc.setdefault("host", f"{os.cpu_count()}-core host, Python {platform.python_version()}")
     merge(doc, key, runs, args.trace, argv_run)
