@@ -33,6 +33,7 @@ from .family import SelfDualFamily, cech_simplicial_family, span_morphism_pairs
 from .groupoid import (
     GroupoidAction,
     GroupoidPresentation,
+    _carrier_faults,
     _is_bijection,
     enumerate_actions,
     fundamental_presentation,
@@ -58,10 +59,7 @@ class SDescentDatum:
 
 def validate_s_descent(sset: TruncSSet, d: SDescentDatum):
     """Empty iff identity and cocycle laws hold over the index."""
-    out = []
-    for i in sset.s0:
-        if i not in d.carrier:
-            out.append(f"carrier missing at {i!r}")
+    out = _carrier_faults(sset.s0, d.carrier)
     if out:
         return out
     for l in sset.s1:
@@ -145,10 +143,7 @@ def validate_h_descent(d: HDescentDatum):
     and the identity and cocycle laws only on a natural datum."""
     f = d.family.base
     sset = f.sset
-    out = []
-    for i in sset.s0:
-        if i not in d.carrier:
-            out.append(f"carrier missing at {i!r}")
+    out = _carrier_faults(sset.s0, d.carrier)
     if out:
         return out
     for l in sset.s1:
@@ -227,12 +222,9 @@ def validate_u_descent(u: UDescentDatum):
     in stages: the first pair with a missing value or a non-bijection ends
     the check; naturality is checked on every pair, and the identity and
     cocycle laws only on a natural datum."""
-    out = []
     cover = u.cover
     comps = family_components(cover)
-    for i in cover.index:
-        if i not in u.carrier:
-            out.append(f"carrier missing at {i!r}")
+    out = _carrier_faults(cover.index, u.carrier)
     if out:
         return out
     base = cover.total.base

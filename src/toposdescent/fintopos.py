@@ -170,9 +170,11 @@ class FinPoset:
 class Presheaf:
     """A finite presheaf: a fiber per point and restrictions down the order.
 
-    ``restrictions`` maps every strict pair ``(p, q)`` with ``p < q`` to a
-    function from the fiber at ``q`` to the fiber at ``p``.  Identity
-    restrictions are implicit, functoriality is checked at construction.
+    ``fibers`` maps points of the base to their elements; a point left out
+    has none, and a point outside the base raises.  ``restrictions`` maps
+    every strict pair ``(p, q)`` with ``p < q`` to a function from the fiber
+    at ``q`` to the fiber at ``p``.  Identity restrictions are implicit,
+    functoriality is checked at construction.
     """
 
     base: FinPoset
@@ -181,6 +183,9 @@ class Presheaf:
     _fiber_sets: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        for p in self.fibers:
+            if not self.base.leq(p, p):
+                raise ValueError(f"fiber at unknown point {p!r}")
         self.fibers = {p: sorted_labels(self.fibers.get(p, ())) for p in self.base.points}
         for p, fib in self.fibers.items():
             if len(self.fiber_set(p)) != len(fib):
@@ -265,7 +270,8 @@ class Presheaf:
 
 @dataclass
 class PresheafMap:
-    """Natural transformation between presheaves on the same base."""
+    """Natural transformation between presheaves on the same base, with a
+    component per point of the base; a component at another point raises."""
 
     dom: Presheaf
     cod: Presheaf
@@ -274,6 +280,9 @@ class PresheafMap:
     def __post_init__(self):
         if self.dom.base != self.cod.base:
             raise BaseMismatchError("map between presheaves over different posets")
+        for p in self.comp:
+            if not self.dom.base.leq(p, p):
+                raise ValueError(f"component at unknown point {p!r}")
         comp = {}
         for p in self.dom.base.points:
             m = dict(self.comp.get(p, {}))

@@ -180,10 +180,7 @@ class GroupoidAction:
 def validate_action(p: GroupoidPresentation, a: GroupoidAction):
     """Empty iff the data is an action: total bijective generator maps that
     satisfy every relation, with identity generators acting trivially."""
-    out = []
-    for i in p.objects:
-        if i not in a.carrier:
-            out.append(f"carrier missing at {i!r}")
+    out = _carrier_faults(p.objects, a.carrier)
     if out:
         return out
     for g in p.generators:
@@ -206,6 +203,18 @@ def validate_action(p: GroupoidPresentation, a: GroupoidAction):
             ):
                 out.append(f"relation {n} fails on {x!r}")
                 break
+    return out
+
+
+def _carrier_faults(objects, carrier):
+    """Per object, in order: a missing carrier, or one that lists an element
+    twice.  A validator reports these before it reads any map."""
+    out = []
+    for i in objects:
+        if i not in carrier:
+            out.append(f"carrier missing at {i!r}")
+        elif len(set(carrier[i])) != len(carrier[i]):
+            out.append(f"carrier at {i!r} lists an element twice")
     return out
 
 

@@ -8,13 +8,13 @@ products ``P_ij`` and boundary-triangle limits ``P_ltr``) supports the
 hypercover test: the canonical component maps into them must be jointly
 epimorphic at levels one and two.
 
-A boundary-triangle limit is listed by a hash join (``_triangle_join``):
-each span's legs are indexed once per point, and the pairs of elements of
-two spans that agree on their left legs once per pair of spans, so each
-triple looks up its partners instead of trying every combination.  The
-coverage check (``hypercover_report``) and ``check_epi_criteria`` read
-only the fibers of the limits; ``cosk_data`` builds the same fibers into
-presheaves with their restrictions.
+One hash join (``_join``) lists every boundary triangle.  Grouped by point,
+it gives the fibers of the limits (``_triangle_join``), which the coverage
+check (``hypercover_report``), ``check_epi_criteria`` and ``cosk_data``
+read.  Grouped by class vertex, it gives the 2-simplices of a refinement
+(``_two_simplices``): by Yoneda, the maps from a vertex into a limit are the
+points of the limit of the hom-set spans.  A build or a check reads the
+maps out of the class vertices from one table (``_hom_lists``).
 
 The refinement builder (``_build_refinement``) writes every value of a
 face, degeneracy, zeta or tau map as the codomain's own object, read off by
@@ -61,54 +61,68 @@ class CoskData:
     triple_limit: dict
 
 
+def _join(rows):
+    """``triangles(l, t, r)``: ``(g, triples)`` per group ``g`` with triples,
+    in group order, listing in the order of ``a``, ``b``, ``c`` the members
+    of ``l``, ``t`` and ``r`` with ``t.left b = l.left a``, ``r.left c =
+    l.right a`` and ``r.right c = t.right b``.  ``rows(item)`` gives an
+    item's rows ``(member, left, right)`` per group, read once and indexed by
+    left key and by both keys; the pairs ``(a, b)`` that agree on their left
+    keys are joined once per run of triples with the same ``(l, t)``."""
+    tables, last = {}, [None, []]
+
+    def legs(item):
+        per_group = tables.get(item)
+        if per_group is None:
+            tables[item] = per_group = []
+            for group in rows(item):
+                by_left, by_legs = {}, {}
+                for e, x, y in group:
+                    by_left.setdefault(x, []).append((e, y))
+                    by_legs.setdefault((x, y), []).append(e)
+                per_group.append((group, by_left, by_legs))
+        return per_group
+
+    def half(l, t):
+        # per group with some, the (a, b) with t.left b = l.left a and their
+        # right keys; triples come in runs of one (l, t), so the last is kept
+        if last[0] != (l, t):
+            last[:] = (l, t), [
+                (g, ab)
+                for g, ((group, _, _), (_, by_left, _)) in enumerate(zip(legs(l), legs(t)))
+                if (ab := [(a, b, (y, z)) for a, x, y in group for b, z in by_left.get(x, ())])
+            ]
+        return last[1]
+
+    def triangles(l, t, r):
+        pairs = half(l, t)
+        right = legs(r) if pairs else ()
+        return [
+            (g, abc)
+            for g, ab in pairs
+            if (abc := [(a, b, c) for a, b, yz in ab for c in right[g][2].get(yz, ())])
+        ]
+
+    return triangles
+
+
 def _triangle_join(points, span):
     """``fibers(l, t, r)``: per point of ``points``, the fiber of the limit
     of the boundary of a two-storey span, the compatible leg triples
     ``(a, b, c)`` of ``span(l)``, ``span(t)`` and ``span(r)`` (anything with
-    ``vertex``, ``left`` and ``right``): ``t.left b = l.left a``, ``r.left
-    c = l.right a`` and ``r.right c = t.right b``.
+    ``vertex``, ``left`` and ``right``): ``_join`` grouped by point, with the
+    vertex elements keyed by their legs, so in ``label_key`` order."""
 
-    The triples are listed in the order of ``a``, then ``b``, then ``c`` in
-    the vertices' sorted fibers, which is their ``label_key`` order.  Each
-    span's legs are read once per point, on first use: its rows ``(a, l.left
-    a, l.right a)``, its pairs ``(b, t.right b)`` by left leg and its
-    elements ``c`` by both legs.  The pairs ``(a, b)`` that agree on their
-    left legs are joined once for a run of triples with the same ``(l,
-    t)``, and each ``r`` then looks up the partners of each pair instead of
-    trying every triple."""
-    tables, halves = {}, {}
+    def rows(item):
+        s = span(item)
+        return [[(e, s.left.comp[p][e], s.right.comp[p][e]) for e in s.vertex.fibers[p]] for p in points]
 
-    def legs(item):
-        if item not in tables:
-            s = span(item)
-            per_point = []
-            for p in points:
-                left, right = s.left.comp[p], s.right.comp[p]
-                rows, by_left, by_legs = [], {}, {}
-                for e in s.vertex.fibers[p]:
-                    x, y = left[e], right[e]
-                    rows.append((e, x, y))
-                    by_left.setdefault(x, []).append((e, y))
-                    by_legs.setdefault((x, y), []).append(e)
-                per_point.append((rows, by_left, by_legs))
-            tables[item] = per_point
-        return tables[item]
-
-    def half(l, t):
-        # per point, the (a, b) with t.left b = l.left a, and their right
-        # legs; triples come grouped by (l, t), so only the last is kept
-        if (l, t) not in halves:
-            halves.clear()
-            halves[(l, t)] = [
-                [(a, b, (y, z)) for a, x, y in rows for b, z in by_left.get(x, ())]
-                for (rows, _, _), (_, by_left, _) in zip(legs(l), legs(t))
-            ]
-        return halves[(l, t)]
+    join = _join(rows)
 
     def fibers(l, t, r):
-        out = {}
-        for p, ab, (_, _, by_legs) in zip(points, half(l, t), legs(r)):
-            out[p] = tuple([(a, b, c) for a, b, yz in ab for c in by_legs.get(yz, ())]) if ab else ()
+        out = dict.fromkeys(points, ())
+        for g, abc in join(l, t, r):
+            out[points[g]] = tuple(abc)
         return out
 
     return fibers
@@ -319,7 +333,8 @@ def _check_closure(spans, comps):
 def _hom_lists(vertices):
     """``hom_list(ci, key, target)``: the maps from ``vertices[ci]`` to
     ``target`` in ``hom_enumerate`` order and their ordinals by map key,
-    enumerated once per ``(ci, key)``."""
+    enumerated once per ``(ci, key)``.  ``key`` is ``target.key()``, so a
+    component and a span vertex that are equal share one enumeration."""
     homs = {}
 
     def hom_list(ci, key, target):
@@ -341,48 +356,31 @@ def _two_simplices(by_pair, index, span, vertices, hom_list):
     ``span(t)`` and ``span(r)`` with ``l.left mx = t.left my``, ``l.right mx
     = r.left mz`` and ``t.right my = r.right mz``.  ``xo`` is the place of
     ``mx`` among the maps ``hom_list`` lists into its target, and so on.
-    These are the maps from ``vertices[ci]`` into ``_triangle_limit`` of the
-    triple, read componentwise.
 
-    The maps from each vertex into each span and the values of their legs
-    are worked out once per span, grouped by left leg and by both legs, and
-    a triple tries only the vertices that map into all three of its spans.
-    """
-    leg_ids, joins = {}, {}
+    By Yoneda these are the maps from ``vertices[ci]`` into
+    ``_triangle_limit`` of the triple: ``_join`` grouped by vertex, with the
+    maps into each span's vertex keyed by their composites with the legs,
+    each named by its values and interned to a small int."""
+    leg_ids = {}
 
     def leg_id(leg, m, points):
-        # a leg is named by its values along the fibers of its domain,
-        # interned, so the join compares small ints
         values = tuple(leg.comp[p][m.comp[p][e]] for p in points for e in m.dom.fibers[p])
         return leg_ids.setdefault(values, len(leg_ids))
 
-    def legs(item):
-        if item not in joins:
-            s = span(item)
-            target, points = ("vtx", s.vertex.key()), s.vertex.base.points
-            rows, by_left, by_legs = {}, {}, {}
-            for ci in range(len(vertices)):
-                row, left, both = [], {}, {}
-                for o, m in enumerate(hom_list(ci, target, s.vertex)[0]):
-                    kl, kr = leg_id(s.left, m, points), leg_id(s.right, m, points)
-                    row.append((o, m, kl, kr))
-                    left.setdefault(kl, []).append((o, m, kr))
-                    both.setdefault((kl, kr), []).append((o, m))
-                if row:
-                    rows[ci], by_left[ci], by_legs[ci] = row, left, both
-            joins[item] = rows, by_left, by_legs
-        return joins[item]
+    def rows(item):
+        s = span(item)
+        key, points = s.vertex.key(), s.vertex.base.points
+        return [
+            [
+                ((o, m), leg_id(s.left, m, points), leg_id(s.right, m, points))
+                for o, m in enumerate(hom_list(ci, key, s.vertex)[0])
+            ]
+            for ci in range(len(vertices))
+        ]
 
-    for l, t, r in _composable_triples(by_pair, index):
-        xs, ys, zs = legs(l)[0], legs(t)[1], legs(r)[2]
-        out = []
-        for ci in sorted(xs.keys() & ys.keys() & zs.keys()):
-            y_by_left, z_by_legs = ys[ci], zs[ci]
-            for xo, mx, kxl, kxr in xs[ci]:
-                for yo, my, kyr in y_by_left.get(kxl, ()):
-                    for zo, mz in z_by_legs.get((kxr, kyr), ()):
-                        out.append((ci, (xo, mx), (yo, my), (zo, mz)))
-        yield (l, t, r), out
+    join = _join(rows)
+    for ends in _composable_triples(by_pair, index):
+        yield ends, [(ci, x, y, z) for ci, xyz in join(*ends) for x, y, z in xyz]
 
 
 def _paired(runs):
@@ -391,17 +389,18 @@ def _paired(runs):
     return {e: f for a, b in runs for e, f in zip(a, b)}
 
 
-def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
+def _build_refinement(cover: Family, spans, vertices, hom_list) -> SelfDualFamily:
     """Assemble the self-dual simplicial family determined by a span class.
 
     1-simplices are the given spans, 2-simplices all commuting two-storey
     spans with apex in ``vertices`` over composable boundary spans, as the
     join ``_two_simplices`` lists them.  Labels encode the class index of
     the vertex and the ordinals of the legs in the deterministic hom
-    enumeration, so the output is reproducible.  The join walks the
-    boundary triangles in label order and lists each one's maps in the
-    order of the vertex index and the leg ordinals, so the 2-simplices come
-    out sorted and are not sorted again.
+    enumeration of the caller's ``hom_list`` (``_hom_lists(vertices)``), so
+    the output is reproducible.  The join walks the boundary triangles in
+    label order and lists each one's maps in the order of the vertex index
+    and the leg ordinals, so the 2-simplices come out sorted and are not
+    sorted again.
 
     Every value of a face, degeneracy, zeta or tau map is the codomain's own
     object, read off by its place: a simplex label built from its parts is
@@ -412,15 +411,15 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
     """
     comps = family_components(cover)
     base = cover.total.base
+    ckeys = {i: u.key() for i, u in comps.items()}
     vkeys = {v.key(): ci for ci, v in enumerate(vertices)}
-    hom_list = _hom_lists(vertices)
 
     span_label = {}
     record = {}
     for s in spans:
         ci = vkeys[s.vertex.key()]
-        _, uord = hom_list(ci, ("comp", s.i), comps[s.i])
-        _, vord = hom_list(ci, ("comp", s.j), comps[s.j])
+        _, uord = hom_list(ci, ckeys[s.i], comps[s.i])
+        _, vord = hom_list(ci, ckeys[s.j], comps[s.j])
         lab = ("sp", s.i, s.j, ci, uord[s.left.key()], vord[s.right.key()])
         span_label[s.data_key()] = lab
         record[lab] = (s, ci)
@@ -464,7 +463,7 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
         # hom enumeration is deterministic, so the leg ordinals recorded in
         # the span label are valid ordinals for the 2-simplex legs too.
         s, ci = record[lab]
-        _, idords = hom_list(ci, ("vtx", s.vertex.key()), s.vertex)
+        _, idords = hom_list(ci, s.vertex.key(), s.vertex)
         idord = idords[PresheafMap.identity(s.vertex).key()]
         if which == 0:
             m = ("sp2", ident_lab[s.i], lab, lab, ci, lab[4], idord, idord)
@@ -563,18 +562,18 @@ def _build_refinement(cover: Family, spans, vertices) -> SelfDualFamily:
     return SelfDualFamily(fam, tau_s, tau1, PresheafMap._trusted(h2, h2, t2))
 
 
-def _all_spans(cover: Family, cls: SpanClass):
+def _all_spans(cover: Family, cls: SpanClass, hom_list):
     """Every span over every ordered pair of components with vertex in the
     class, in the order of the pair, the member and the two legs' places in
-    ``hom_enumerate`` order; the maps from a member into a component are
-    enumerated once."""
+    ``hom_enumerate`` order; the legs are read off the caller's table
+    ``hom_list`` (``_hom_lists(cls.members)``)."""
     comps = family_components(cover)
-    hom_list = _hom_lists(cls.members)
+    ckeys = {i: u.key() for i, u in comps.items()}
     spans = []
     for i, j in itertools.product(cover.index, repeat=2):
         for ci, v in enumerate(cls.members):
-            lefts = hom_list(ci, ("comp", i), comps[i])[0]
-            rights = hom_list(ci, ("comp", j), comps[j])[0]
+            lefts = hom_list(ci, ckeys[i], comps[i])[0]
+            rights = hom_list(ci, ckeys[j], comps[j])[0]
             spans.extend(ClassSpan(i, j, v, u, w) for u in lefts for w in rights)
     return spans
 
@@ -590,7 +589,8 @@ def zero_span_refinement(cover: Family, cls: SpanClass) -> SelfDualFamily:
     for i, u in comps.items():
         if u.key() not in vkeys:
             raise ValueError(f"component {i!r} is not a member of the span class")
-    return _build_refinement(cover, _all_spans(cover, cls), cls.members)
+    hom_list = _hom_lists(cls.members)
+    return _build_refinement(cover, _all_spans(cover, cls, hom_list), cls.members, hom_list)
 
 
 def one_span_refinement(cover: Family, csp: SpanClassSp) -> SelfDualFamily:
@@ -601,7 +601,8 @@ def one_span_refinement(cover: Family, csp: SpanClassSp) -> SelfDualFamily:
     """
     comps = family_components(cover)
     _check_closure(csp.members, comps)
-    return _build_refinement(cover, list(csp.members), csp.vertices())
+    vertices = csp.vertices()
+    return _build_refinement(cover, list(csp.members), vertices, _hom_lists(vertices))
 
 
 def representable_span(base, comps, i, j, p, x, y) -> ClassSpan:
@@ -667,12 +668,9 @@ def check_epi_criteria(cover: Family, cls) -> bool:
         raise TypeError(f"expected a SpanClass or a SpanClassSp, got {type(cls).__name__}")
     comps = family_components(cover)
     base = cover.total.base
-    if isinstance(cls, SpanClass):
-        spans = _all_spans(cover, cls)
-        verts = cls.members
-    else:
-        spans = list(cls.members)
-        verts = cls.vertices()
+    verts = cls.members if isinstance(cls, SpanClass) else cls.vertices()
+    hom_list = _hom_lists(verts)
+    spans = _all_spans(cover, cls, hom_list) if isinstance(cls, SpanClass) else list(cls.members)
     # spans are named by their place in ``spans``
     by_pair = _by_pair(range(len(spans)), lambda n: (spans[n].i, spans[n].j))
 
@@ -683,7 +681,7 @@ def check_epi_criteria(cover: Family, cls) -> bool:
         pairings = [pairing([spans[n].left, spans[n].right], prod) for n in by_pair.get((i, j), ())]
         if _missed(base.points, prod.fibers, _hit_sets((m.comp for m in pairings), base.points)):
             return False
-    joined = _two_simplices(by_pair, cover.index, spans.__getitem__, verts, _hom_lists(verts))
+    joined = _two_simplices(by_pair, cover.index, spans.__getitem__, verts, hom_list)
     limit = _triangle_join(base.points, spans.__getitem__)
     for ends, maps in joined:
         hit = {p: set() for p in base.points}

@@ -371,8 +371,15 @@ def presheaf_map_from_json(d: dict, dom: Presheaf, cod: Presheaf, memo=None) -> 
 
 
 def _dec_carriers(d: dict, memo) -> dict:
-    return {dec_label(i, memo): tuple(dec_label(r, memo) for r in rs) for i, rs in d.items()}
-
+    """The carriers of descent data and actions; a carrier that lists an
+    element twice raises ``ValueError``."""
+    out = {}
+    for i, rs in d.items():
+        i = dec_label(i, memo)
+        out[i] = carrier = tuple(dec_label(r, memo) for r in rs)
+        if len(set(carrier)) != len(carrier):
+            raise ValueError(f"carrier at {i!r} lists an element twice")
+    return out
 
 
 def _maps_to_json(carrier: dict, key: str, maps: dict) -> dict:

@@ -172,8 +172,8 @@ def builder_inputs():
 def built_and_oracle(make):
     with builder_inputs() as calls:
         ref = make()
-    (args,) = calls
-    return ref, oracle_build(*args)
+    ((cover, spans, vertices, _),) = calls
+    return ref, oracle_build(cover, spans, vertices)
 
 
 def level_maps(ref):

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, reports, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -410,3 +411,46 @@ def test_input_nested_too_deeply_is_an_input_error(tmp_path, capsys):
     deep.write_text("[" * 100_000 + "]" * 100_000)
     assert main(["nerve", str(deep)]) == 2
     one_error_line(capsys, f"{deep}: JSON nests too deeply to read")
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+
+
+@pytest.mark.parametrize("mode", ["--check", "--glue", "--covproj", "--main1", "--main2"])
+def test_descend_on_a_repeated_carrier_is_an_input_error(tmp_path, mode, capsys):
+    # datum 5 of the point-1x2 corpus data, its carrier at "2" listing #0 twice
+    datum = json.loads((CORPUS / "data" / "point-1x2-bound3.json").read_text())["data"][5]
+    datum["carriers"]["2"] = ["#0", "#0", "#1"]
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    cover = str(CORPUS / "covers" / "point-1x2.json")
+    assert main(["descend", cover, str(path), mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: bad descent datum: carrier at '2' lists an element twice\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["nerve"], ["refine", "--class", "connected"], ["descend", "DATUM", "--check"]],
+    ids=["nerve", "refine", "descend"],
+)
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["poset"].update(points=["a"]), "bad presheaf: fiber at unknown point 'pt'"),
+        (lambda doc: doc["zeta"].update(q={}), "bad family: component at unknown point 'q'"),
+    ],
+    ids=["fiber", "zeta"],
+)
+def test_a_cover_keyed_by_a_point_outside_its_base_is_an_input_error(files, argv, edit, message, capsys):
+    tmp, cover, datum, _ = files
+    doc = json.loads((tmp / "cover.json").read_text())
+    edit(doc)
+    bad = tmp / "stray.json"
+    bad.write_text(json.dumps(doc))
+    argv = [argv[0], str(bad)] + [datum if a == "DATUM" else a for a in argv[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: {message}\n"

@@ -6,9 +6,22 @@ one point of a two-point base.  The validators read simplices by position
 and check a family fiber by fiber; these lists fix what they report,
 naming labels, in which order."""
 
+import dataclasses
+
 import pytest
 
 import toposdescent as td
+from toposdescent.serialize import (
+    SerializationError,
+    action_from_json,
+    action_to_json,
+    hdescent_from_json,
+    hdescent_to_json,
+    sdescent_from_json,
+    sdescent_to_json,
+    udescent_from_json,
+    udescent_to_json,
+)
 from conftest import free_dual_edge_sset, free_endo_sset, generated_covers, point
 
 
@@ -594,3 +607,92 @@ EXPECTED_DESCENT = {'action/cocycle': ['relation 2 fails on 0', 'relation 5 fail
 @pytest.mark.parametrize("case", sorted(DESCENT_CASES))
 def test_descent_violation_messages_are_pinned(case):
     assert DESCENT_CASES[case]() == EXPECTED_DESCENT[case]
+
+
+# A carrier that lists an element twice: each validator reports it once per
+# carrier, among the missing carriers and before it reads any map, and each
+# decoder of carriers refuses it.  The kernel refuses a fiber or a component
+# given at a point outside the base.
+
+
+def repeated(d, *names):
+    """``d`` with the carriers at ``names`` listing their first element
+    twice."""
+    carrier = {i: (tuple(r) + tuple(r)[:1] if i in names else r) for i, r in d.carrier.items()}
+    return dataclasses.replace(d, carrier=carrier)
+
+
+def decoded(to_json, from_json, d, *args):
+    """The error of decoding ``d``, written out, with its carrier at ``'2'``
+    listing its first element twice."""
+    doc = to_json(d)
+    doc["carriers"]["2"] = doc["carriers"]["2"][:1] + doc["carriers"]["2"]
+    with pytest.raises(SerializationError) as exc:
+        from_json(doc, *args)
+    return [str(exc.value)]
+
+
+def raised(build):
+    with pytest.raises(ValueError) as exc:
+        build()
+    return [str(exc.value)]
+
+
+def stray_fiber():
+    base = td.FinPoset.from_pairs(("a",))
+    return td.Presheaf(base, {"a": ("x",), "pt": ("x", "y")}, {})
+
+
+def stray_component():
+    base = td.FinPoset.from_pairs(("a",))
+    x = td.constant_presheaf(("x",), base)
+    return td.PresheafMap(x, x, {"a": {"x": "x"}, "pt": {}})
+
+
+REPEAT_CASES = {
+    "u/repeated-carrier": lambda: td.validate_u_descent(repeated(u_datum("point-1x2"), "2")),
+    "u/repeated-carriers": lambda: td.validate_u_descent(repeated(u_datum("point-1x2"), "1", "2")),
+    "u/missing-and-repeated": lambda: td.validate_u_descent(
+        repeated(u_datum("point-1x2", drop_carrier="1"), "2")
+    ),
+    "h/repeated-carrier": lambda: td.validate_h_descent(repeated(h_datum("point-1x2"), "2")),
+    "h/repeated-carriers": lambda: td.validate_h_descent(repeated(h_datum("point-1x2"), "1", "2")),
+    "s/repeated-carrier": lambda: td.validate_s_descent(s_datum()[0], repeated(s_datum()[1], "2")),
+    "action/repeated-carrier": lambda: td.validate_action(action()[0], repeated(action()[1], "2")),
+    "decode/u": lambda: decoded(
+        udescent_to_json, udescent_from_json, u_datum("point-1x2"), dict(generated_covers())["point-1x2"]
+    ),
+    "decode/h": lambda: decoded(hdescent_to_json, hdescent_from_json, h_datum("point-1x2"), cech("point-1x2")),
+    "decode/s": lambda: decoded(sdescent_to_json, sdescent_from_json, s_datum()[1]),
+    "decode/action": lambda: decoded(action_to_json, action_from_json, action()[1]),
+    "kernel/stray-fiber": lambda: raised(stray_fiber),
+    "kernel/stray-component": lambda: raised(stray_component),
+}
+
+
+EXPECTED_REPEAT = {
+    "action/repeated-carrier": ["carrier at '2' lists an element twice"],
+    "decode/action": ["bad action: carrier at '2' lists an element twice"],
+    "decode/h": ["bad descent datum: carrier at '2' lists an element twice"],
+    "decode/s": ["bad descent datum: carrier at '2' lists an element twice"],
+    "decode/u": ["bad descent datum: carrier at '2' lists an element twice"],
+    "h/repeated-carrier": ["carrier at '2' lists an element twice"],
+    "h/repeated-carriers": [
+        "carrier at '1' lists an element twice",
+        "carrier at '2' lists an element twice",
+    ],
+    "kernel/stray-component": ["component at unknown point 'pt'"],
+    "kernel/stray-fiber": ["fiber at unknown point 'pt'"],
+    "s/repeated-carrier": ["carrier at '2' lists an element twice"],
+    "u/missing-and-repeated": ["carrier missing at '1'", "carrier at '2' lists an element twice"],
+    "u/repeated-carrier": ["carrier at '2' lists an element twice"],
+    "u/repeated-carriers": [
+        "carrier at '1' lists an element twice",
+        "carrier at '2' lists an element twice",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEAT_CASES))
+def test_repeated_carriers_and_stray_points_are_pinned(case):
+    assert REPEAT_CASES[case]() == EXPECTED_REPEAT[case]

@@ -20,6 +20,7 @@ from toposdescent.hypercover import (
     _all_spans,
     _by_pair,
     _composable_triples,
+    _hom_lists,
     _triangle_join,
     _triangle_limit,
 )
@@ -79,7 +80,7 @@ def check_class(cover, cls, monkeypatch):
     """Join against loop on every boundary triple of the class's spans,
     and the epi-criteria verdict both ways."""
     if isinstance(cls, td.SpanClass):
-        spans = _all_spans(cover, cls)
+        spans = _all_spans(cover, cls, _hom_lists(cls.members))
     else:
         spans = list(cls.members)
     points = cover.total.base.points

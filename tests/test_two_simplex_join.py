@@ -44,7 +44,7 @@ def connected_class(cover):
 
 def spans_and_vertices(cover, cls):
     if isinstance(cls, td.SpanClass):
-        return _all_spans(cover, cls), cls.members
+        return _all_spans(cover, cls, _hom_lists(cls.members)), cls.members
     return list(cls.members), cls.vertices()
 
 
@@ -159,7 +159,8 @@ def test_level_two_alone_can_fail():
     # the discrete case passes level one, so only level two rejects it
     cover = two_discrete_points()
     comps = td.family_components(cover)
-    spans = _all_spans(cover, zero_class(cover))
+    cls = zero_class(cover)
+    spans = _all_spans(cover, cls, _hom_lists(cls.members))
     prod, _, _ = product(comps["u"], comps["u"])
     pairings = [pairing([s.left, s.right], prod) for s in spans]
     assert not _missed(prod.base.points, prod.fibers, _hit_sets((m.comp for m in pairings), prod.base.points))
