@@ -118,7 +118,11 @@ def glue(cover: Family, u: UDescentDatum) -> LocallyConstant:
     return LocallyConstant(space=space, cover=cover, carrier=dict(u.carrier), theta=theta)
 
 
-def _theta_violations(lc: LocallyConstant):
+def validate_trivialization(lc: LocallyConstant):
+    """Empty iff each trivialization is an isomorphism over its component
+    between the constant piece of its carrier and the space.  The datum such
+    trivializations induce (:func:`extract_descent`) then satisfies the
+    descent laws by construction, so it is not checked here."""
     out = []
     comps = family_components(lc.cover)
     base = lc.cover.total.base
@@ -144,8 +148,10 @@ def _theta_violations(lc: LocallyConstant):
 
 def extract_descent(lc: LocallyConstant) -> UDescentDatum:
     """Read the descent datum back from the trivializations: conjugate the
-    pair swap on the space by the two trivializations."""
-    bad = _theta_violations(lc)
+    pair swap on the space by the two trivializations.  Trivializations that
+    pass :func:`validate_trivialization` give a datum by construction, and it
+    is not validated again."""
+    bad = validate_trivialization(lc)
     if bad:
         raise ValueError("invalid trivialization: " + "; ".join(bad))
     comps = family_components(lc.cover)
@@ -163,24 +169,7 @@ def extract_descent(lc: LocallyConstant) -> UDescentDatum:
         sigma[i, j][p][x, y] = {
             r: inv[j][p][(lc.theta[i].apply(p, (r, x))[0], y)][0] for r in lc.carrier[i]
         }
-    out = UDescentDatum(cover=lc.cover, carrier=dict(lc.carrier), sigma=sigma)
-    bad = validate_u_descent(out)
-    if bad:
-        raise ValueError("extracted datum is invalid: " + "; ".join(bad))
-    return out
-
-
-def validate_trivialization(lc: LocallyConstant):
-    """Empty iff the trivializations are isomorphisms over the components
-    and the datum they induce satisfies the descent laws."""
-    out = _theta_violations(lc)
-    if out:
-        return out
-    try:
-        extract_descent(lc)
-    except ValueError as exc:
-        out.append(str(exc))
-    return out
+    return UDescentDatum(cover=lc.cover, carrier=dict(lc.carrier), sigma=sigma)
 
 
 def action_span_test(span: ClassSpan, u: UDescentDatum):

@@ -20,7 +20,11 @@ The enumerators trust the slot search: what it builds satisfies every law
 it encodes, so their outputs are not validated again.  Every other public
 entry validates what it is given (the conversions, the transfers between
 family and cover data, and :func:`is_consistent`), since its input may
-come from outside.
+come from outside.  The transfers trust what they compute from checked
+inputs: by the correspondence above, a datum pulled back to a family whose
+level 0 is the cover, or solved over a hypercover refinement, is a datum,
+so neither is validated again.  The laws of the family itself are the
+caller's to check (``validate_selfdual``).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .groupoid import (
     solve_carrier_slots,
     validate_action,
 )
-from .hypercover import is_hypercover
+from .hypercover import _check_level0, is_hypercover
 from .simplicial import TruncSSet, _overlaps, _pair_elements
 
 
@@ -269,11 +273,14 @@ def validate_u_descent(u: UDescentDatum):
 
 def u_to_h(u: UDescentDatum, f: SelfDualFamily) -> HDescentDatum:
     """Pull a cover datum back along the comparison maps: the value on an
-    element of a component is the value on its pair of face images."""
+    element of a component is the value on its pair of face images.
+
+    The family's level 0 must be the datum's cover, else ``ValueError``."""
     bad = validate_u_descent(u)
     if bad:
         raise ValueError("invalid descent datum: " + "; ".join(bad))
     fam = f.base
+    _check_level0(fam, u.cover)
     d1, d0 = fam.face[(1, 1)], fam.face[(1, 0)]
     sigma = {}
     for l in fam.sset.s1:
@@ -286,11 +293,7 @@ def u_to_h(u: UDescentDatum, f: SelfDualFamily) -> HDescentDatum:
             }
             for p in comp.base.points
         }
-    out = HDescentDatum(family=f, carrier=dict(u.carrier), sigma_hat=sigma)
-    bad = validate_h_descent(out)
-    if bad:
-        raise ValueError("pulled-back datum is invalid: " + "; ".join(bad))
-    return out
+    return HDescentDatum(family=f, carrier=dict(u.carrier), sigma_hat=sigma)
 
 
 def h_to_u(d: HDescentDatum, cover: Family) -> UDescentDatum:
@@ -298,8 +301,8 @@ def h_to_u(d: HDescentDatum, cover: Family) -> UDescentDatum:
 
     The family of comparison maps is jointly surjective onto each pairwise
     product, so the elementwise bijections determine a unique table on the
-    products; inconsistent values mean the input was not a genuine family
-    datum for this refinement."""
+    products, and that table is a cover datum; inconsistent values mean the
+    input was not a genuine family datum for this refinement."""
     f = d.family.base
     if not is_hypercover(f, cover):
         raise ValueError("the family is not a hypercover refinement of the cover")
@@ -325,11 +328,7 @@ def h_to_u(d: HDescentDatum, cover: Family) -> UDescentDatum:
     for pair in sigma:
         for p in base.points:
             sigma[pair].setdefault(p, {})
-    out = UDescentDatum(cover=cover, carrier=dict(d.carrier), sigma=sigma)
-    bad = validate_u_descent(out)
-    if bad:
-        raise IncompatibleFamilyError("incompatible family: " + "; ".join(bad))
-    return out
+    return UDescentDatum(cover=cover, carrier=dict(d.carrier), sigma=sigma)
 
 
 def is_consistent(d: SDescentDatum, f: SelfDualFamily) -> bool:

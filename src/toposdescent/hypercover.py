@@ -259,14 +259,21 @@ def hypercover_report(f: SimplicialFamily) -> dict:
     return f._derived["hypercover_report"]
 
 
+def _check_level0(f: SimplicialFamily, cover: Family):
+    """Raise ``ValueError`` unless level 0 of the family is the cover."""
+    if (
+        tuple(f.sset.s0) != tuple(cover.index)
+        or f.h0 != cover.total
+        or f.zeta[0].comp != cover.struct_map.comp
+    ):
+        raise ValueError("level-0 mismatch with the cover")
+
+
 def is_hypercover(f: SimplicialFamily, cover: Family) -> bool:
     """Whether the family refines the cover as a hypercover: level 0 agrees
     with the cover and the canonical maps to the coskeleton data are jointly
     epimorphic at levels one and two."""
-    if tuple(f.sset.s0) != tuple(cover.index) or f.h0 != cover.total:
-        raise ValueError("level-0 mismatch with the cover")
-    if f.zeta[0].comp != cover.struct_map.comp:
-        raise ValueError("level-0 mismatch with the cover")
+    _check_level0(f, cover)
     if not cover_is_epi(cover):
         raise ValueError("the total of the cover does not cover the terminal object")
     report = hypercover_report(f)
@@ -510,10 +517,10 @@ def _build_refinement(cover: Family, spans, vertices, hom_list) -> SelfDualFamil
     # simplex and its opposite or degenerate simplex share their vertex, so
     # the maps between their runs go place by place.  Per point, ``h1_at``
     # holds the H1 elements over each 1-simplex by vertex element, and
-    # ``start`` where the run of each 2-simplex begins in the H2 fiber.
+    # ``runs`` the run of each 2-simplex in the H2 fiber, in the order of s2.
     h0_at = {p: dict(zip(h0.fibers[p], h0.fibers[p])) for p in base.points}
     h1_at = {}
-    d0, d1, d2, z2, t2, t1, e0, e1 = ({} for _ in range(8))
+    d0, d1, d2, t2, t1, e0, e1 = ({} for _ in range(7))
     for p in base.points:
         h1_at[p] = at = {}
         elems = iter(h1.fibers[p])
@@ -523,23 +530,21 @@ def _build_refinement(cover: Family, spans, vertices, hom_list) -> SelfDualFamil
         fib = h2.fibers[p]
         sizes = (len(vertices[ci].fibers[p]) for _, _, ci, _ in s2_faces.values())
         start = list(itertools.accumulate(sizes, initial=0))
+        runs = [fib[a:b] for a, b in zip(start, start[1:])]
         t1[p] = _paired((at[lab].values(), at[op1[lab]].values()) for lab in s1)
+        t2[p] = _paired((run, runs[o]) for run, o in zip(runs, op_ord))
         e0[p], e1[p] = (
-            _paired((at[lab].values(), fib[start[o] : start[o + 1]]) for lab, o in ords.items())
-            for ords in degen_ord
+            _paired((at[lab].values(), runs[o]) for lab, o in ords.items()) for ords in degen_ord
         )
-        d0[p], d1[p], d2[p], z2[p], t2[p] = {}, {}, {}, {}, {}
-        for w, (o, (llab, tlab, rlab), ci, (mx, my, mz)) in s2_faces.items():
+        d0[p], d1[p], d2[p] = {}, {}, {}
+        for run, (_, (llab, tlab, rlab), _, (mx, my, mz)) in zip(runs, s2_faces.values()):
             a0, a1, a2 = at[rlab], at[tlab], at[llab]
             cx, cy, cz = mx.comp[p], my.comp[p], mz.comp[p]
-            first = start[op_ord[o]]
-            for k, e in enumerate(fib[start[o] : start[o + 1]]):
+            for e in run:
                 x = e[1]
                 d0[p][e] = a0[cz[x]]
                 d1[p][e] = a1[cy[x]]
                 d2[p][e] = a2[cx[x]]
-                z2[p][e] = w
-                t2[p][e] = fib[first + k]
 
     hface = {
         (1, 0): tagmap(h1, h0, lambda p, e: h0_at[p][record[e[0]][0].right.apply(p, e[1])]),
@@ -555,7 +560,7 @@ def _build_refinement(cover: Family, spans, vertices, hom_list) -> SelfDualFamil
     zeta = (
         cover.struct_map,
         tagmap(h1, _constant(sset.s1, base), lambda p, e: e[0]),
-        PresheafMap._trusted(h2, _constant(sset.s2, base), z2),
+        tagmap(h2, _constant(sset.s2, base), lambda p, e: e[0]),
     )
     fam = SimplicialFamily(h0, h1, h2, hface, hdegen, sset, zeta)
     tau1 = PresheafMap._trusted(h1, h1, t1)

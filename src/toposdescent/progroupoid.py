@@ -335,7 +335,9 @@ def assemble(pi: HypercoverIndex, budget: int = 10, max_len: int = 2):
 
 
 def _strip(e):
-    """Span-refinement level elements are tagged (simplex, element)."""
+    """Span-refinement level elements are tagged (simplex, element).  The
+    elements of one component share their tag and are listed in label
+    order, so stripped they stay in label order."""
     return e[1]
 
 
@@ -344,13 +346,10 @@ def _span_data(fam: SelfDualFamily, l):
     i, j = base.sset.endpoints(l)
     comp = base.component(1, l)
     d1, d0 = base.face[(1, 1)], base.face[(1, 0)]
-    fibers = {p: tuple(sorted((_strip(e) for e in comp.fibers[p]), key=label_key)) for p in comp.base.points}
-    left = {p: {_strip(e): d1.apply(p, e) for e in comp.fibers[p]} for p in comp.base.points}
-    right = {p: {_strip(e): d0.apply(p, e) for e in comp.fibers[p]} for p in comp.base.points}
     frozen = tuple(
-        (p, fibers[p], tuple(sorted(left[p].items(), key=lambda kv: label_key(kv[0]))),
-         tuple(sorted(right[p].items(), key=lambda kv: label_key(kv[0]))))
-        for p in comp.base.points
+        (p, tuple(map(_strip, fib)), tuple((_strip(e), d1.apply(p, e)) for e in fib),
+         tuple((_strip(e), d0.apply(p, e)) for e in fib))
+        for p, fib in comp.fibers.items()
     )
     return (i, j, frozen)
 
@@ -363,8 +362,7 @@ def _triangle_data(fam: SelfDualFamily, w):
     faces = [base.face[(2, k)] for k in (2, 1, 0)]
 
     def rows(p):
-        out = ((_strip(e), tuple(_strip(d.apply(p, e)) for d in faces)) for e in comp.fibers[p])
-        return tuple(sorted(out, key=lambda kv: label_key(kv[0])))
+        return tuple((_strip(e), tuple(_strip(d.apply(p, e)) for d in faces)) for e in comp.fibers[p])
 
     return tuple((p, rows(p)) for p in comp.base.points)
 

@@ -5,11 +5,14 @@ oracles.
 ``enumerate_s_descent_data`` and ``enumerate_u_descent_data``) do not
 validate their solutions again, ``main2_equivalence`` reads data and
 actions into each other unchecked, and ``main1_forward`` validates its
-witness datum once.  Each test runs the public validators and the checked
-conversions on every such output, on the connected refinements of the 12
-generated covers and of the perfbench corpus covers relabelled for seed 1,
-which changes the order of every label (at seed 0 they are the generated
-covers).
+witness datum once.  The transfers check their inputs and not their
+outputs: ``u_to_h`` does not validate the datum it pulls back, ``h_to_u``
+the datum it solves, nor ``extract_descent`` the datum it reads off, and
+``validate_trivialization`` does not read that datum off.  Each test runs
+the public validators and the checked conversions on every such output, on
+the connected refinements of the 12 generated covers and of the perfbench
+corpus covers relabelled for seed 1, which changes the order of every label
+(at seed 0 they are the generated covers).
 """
 
 import importlib
@@ -21,7 +24,7 @@ import toposdescent as td
 from toposdescent import groupoid
 from toposdescent.descent import _as_action, _as_datum, _equal_on_span_morphisms
 from toposdescent.serialize import udescent_from_json
-from conftest import generated_covers
+from conftest import generated_covers, swap_datum
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 NAMES = [n for n, _ in generated_covers()]
@@ -116,3 +119,106 @@ def test_main1_witness_data_of_the_corpus(corpus):
         assert td.validate_s_descent(fam.base.sset, datum) == []
         assert td.is_consistent(datum, fam)
         assert td.s_to_action(fam.base.sset, datum).carrier == u.carrier
+
+
+def old_validate_trivialization(lc):
+    """``validate_trivialization`` as it was: the checks of the
+    trivializations, then the descent laws of the datum they induce."""
+    out = td.validate_trivialization(lc)
+    if out:
+        return out
+    try:
+        bad = td.validate_u_descent(td.extract_descent(lc))
+        if bad:
+            raise ValueError("extracted datum is invalid: " + "; ".join(bad))
+    except ValueError as exc:
+        out.append(str(exc))
+    return out
+
+
+def check_transfers(cover, ref, data_bound):
+    """Validate every output of ``u_to_h``, ``h_to_u`` and
+    ``extract_descent`` on the enumerated data of one cover and its
+    connected refinement, and compare the two trivialization checks."""
+    udata = td.enumerate_u_descent_data(cover, data_bound)
+    for u in udata:
+        h = td.u_to_h(u, ref)
+        assert td.validate_h_descent(h) == []
+        back = td.h_to_u(h, cover)
+        assert td.validate_u_descent(back) == []
+        assert (back.carrier, back.sigma) == (u.carrier, u.sigma)
+        lc = td.glue(cover, u)
+        assert old_validate_trivialization(lc) == td.validate_trivialization(lc) == []
+        read = td.extract_descent(lc)
+        assert td.validate_u_descent(read) == []
+        assert (read.carrier, read.sigma) == (u.carrier, u.sigma)
+    hdata = td.enumerate_h_descent_data(ref, data_bound)
+    for h in hdata:
+        assert td.validate_u_descent(td.h_to_u(h, cover)) == []
+    return len(udata) + len(hdata)
+
+
+@pytest.mark.parametrize("k", range(len(NAMES)), ids=NAMES)
+def test_transfer_outputs_of_generated_covers(k, generated_refinements):
+    name, cover, ref = generated_refinements[k]
+    assert check_transfers(cover, ref, DATA_BOUND[name]) > 0
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_transfer_outputs_of_relabelled_corpus_covers(name, corpus):
+    cover, _ = corpus[1].cover(name)
+    assert check_transfers(cover, td.connected_refinement(cover), DATA_BOUND[name]) > 0
+
+
+def breakages(cover):
+    """Glued trivializations of the swap datum, each broken in one way."""
+    u = swap_datum(cover)
+    lc = td.glue(cover, u)
+    comps = td.family_components(cover)
+    piece, _, _ = td.product(td.constant_presheaf(u.carrier["2"], lc.space.base), comps["2"])
+    target, _, _ = td.product(lc.space, comps["2"])
+    th = lc.theta["2"]
+    skew = {(r, x): (th.apply("pt", (r, x))[0], "b") for (r, x) in piece.fibers["pt"]}
+    flat = {(r, x): th.apply("pt", (0, x)) for (r, x) in piece.fibers["pt"]}
+    swapped = {(r, x): th.apply("pt", (1 - r, x)) for (r, x) in piece.fibers["pt"]}
+
+    def with_theta(comp):
+        return {**lc.theta, "2": td.PresheafMap(piece, target, {"pt": comp})}
+
+    theta_1 = {k: v for k, v in lc.theta.items() if k != "1"}
+    return {
+        "skewed projection": td.LocallyConstant(lc.space, cover, lc.carrier, with_theta(skew)),
+        "not injective": td.LocallyConstant(lc.space, cover, lc.carrier, with_theta(flat)),
+        "carriers swapped": td.LocallyConstant(lc.space, cover, lc.carrier, with_theta(swapped)),
+        "shrunk carrier": td.LocallyConstant(lc.space, cover, {"1": (0,), "2": (0, 1)}, lc.theta),
+        "missing trivialization": td.LocallyConstant(lc.space, cover, lc.carrier, theta_1),
+        "glued": lc,
+    }
+
+
+@pytest.mark.parametrize(
+    "which",
+    ["skewed projection", "not injective", "carriers swapped", "shrunk carrier", "missing trivialization", "glued"],
+)
+def test_trivialization_check_matches_the_two_step_check(fixture_cover, which):
+    """The breakages of ``test_covering.py`` and a few more: the one-step
+    check finds what the old check found, and a trivialization it passes
+    gives a valid datum."""
+    lc = breakages(fixture_cover)[which]
+    msgs = td.validate_trivialization(lc)
+    assert msgs == old_validate_trivialization(lc)
+    assert bool(msgs) == (which not in ("glued", "carriers swapped"))
+    if not msgs:
+        assert td.validate_u_descent(td.extract_descent(lc)) == []
+
+
+def test_u_to_h_refuses_a_family_over_another_cover():
+    """A family whose level 0 is not the datum's cover is refused up front,
+    with ``is_hypercover``'s message, and not with a bare ``KeyError``."""
+    covers = dict(generated_covers())
+    ref = td.connected_refinement(covers["chain-rep"])
+    data = td.enumerate_u_descent_data(covers["point-1x1"], 2)
+    assert data
+    for u in data:
+        with pytest.raises(ValueError, match="^level-0 mismatch with the cover$"):
+            td.u_to_h(u, ref)
