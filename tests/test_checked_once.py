@@ -189,7 +189,7 @@ def breakages(cover):
     return {
         "skewed projection": td.LocallyConstant(lc.space, cover, lc.carrier, with_theta(skew)),
         "not injective": td.LocallyConstant(lc.space, cover, lc.carrier, with_theta(flat)),
-        "carriers swapped": td.LocallyConstant(lc.space, cover, lc.carrier, with_theta(swapped)),
+        "carrier permuted": td.LocallyConstant(lc.space, cover, lc.carrier, with_theta(swapped)),
         "shrunk carrier": td.LocallyConstant(lc.space, cover, {"1": (0,), "2": (0, 1)}, lc.theta),
         "missing trivialization": td.LocallyConstant(lc.space, cover, lc.carrier, theta_1),
         "glued": lc,
@@ -198,7 +198,7 @@ def breakages(cover):
 
 @pytest.mark.parametrize(
     "which",
-    ["skewed projection", "not injective", "carriers swapped", "shrunk carrier", "missing trivialization", "glued"],
+    ["skewed projection", "not injective", "carrier permuted", "shrunk carrier", "missing trivialization", "glued"],
 )
 def test_trivialization_check_matches_the_two_step_check(fixture_cover, which):
     """The breakages of ``test_covering.py`` and a few more: the one-step
@@ -207,7 +207,7 @@ def test_trivialization_check_matches_the_two_step_check(fixture_cover, which):
     lc = breakages(fixture_cover)[which]
     msgs = td.validate_trivialization(lc)
     assert msgs == old_validate_trivialization(lc)
-    assert bool(msgs) == (which not in ("glued", "carriers swapped"))
+    assert bool(msgs) == (which not in ("glued", "carrier permuted"))
     if not msgs:
         assert td.validate_u_descent(td.extract_descent(lc)) == []
 
