@@ -21,10 +21,8 @@ it encodes, so their outputs are not validated again.  Every other public
 entry validates what it is given (the conversions, the transfers between
 family and cover data, and :func:`is_consistent`), since its input may
 come from outside.  The transfers trust what they compute from checked
-inputs: by the correspondence above, a datum pulled back to a family whose
-level 0 is the cover, or solved over a hypercover refinement, is a datum,
-so neither is validated again.  The laws of the family itself are the
-caller's to check (``validate_selfdual``).
+inputs: by the correspondence above, it is a datum when the family passes
+``validate_selfdual``, which is the caller's to check.
 """
 
 from __future__ import annotations
@@ -273,9 +271,10 @@ def validate_u_descent(u: UDescentDatum):
 
 def u_to_h(u: UDescentDatum, f: SelfDualFamily) -> HDescentDatum:
     """Pull a cover datum back along the comparison maps: the value on an
-    element of a component is the value on its pair of face images.
-
-    The family's level 0 must be the datum's cover, else ``ValueError``."""
+    element of a component is the value on its pair of face images.  The
+    family's level 0 must be the datum's cover, else ``ValueError``; the
+    result, not validated again, is a datum if the family passes
+    ``validate_selfdual``."""
     bad = validate_u_descent(u)
     if bad:
         raise ValueError("invalid descent datum: " + "; ".join(bad))
@@ -301,8 +300,9 @@ def h_to_u(d: HDescentDatum, cover: Family) -> UDescentDatum:
 
     The family of comparison maps is jointly surjective onto each pairwise
     product, so the elementwise bijections determine a unique table on the
-    products, and that table is a cover datum; inconsistent values mean the
-    input was not a genuine family datum for this refinement."""
+    products; inconsistent values mean the input was not a genuine family
+    datum for this refinement.  The table is not validated again: it is a
+    cover datum if the family passes ``validate_selfdual``."""
     f = d.family.base
     if not is_hypercover(f, cover):
         raise ValueError("the family is not a hypercover refinement of the cover")

@@ -222,3 +222,64 @@ def test_u_to_h_refuses_a_family_over_another_cover():
     for u in data:
         with pytest.raises(ValueError, match="^level-0 mismatch with the cover$"):
             td.u_to_h(u, ref)
+
+
+def degeneracy_moved():
+    """The Čech family of the running example with s0 sending ``b`` to the
+    element ``(b, c)`` over the same 1-simplex: a hypercover of the example
+    that breaks the degeneracy laws."""
+    sf = td.cech_simplicial_family(dict(generated_covers())["point-1x2"])
+    f = sf.base
+    s0 = f.degen[(0, 0)]
+    comp = {p: {**c, "b": ("b", "c")} for p, c in s0.comp.items()}
+    degen = {**f.degen, (0, 0): td.PresheafMap(s0.dom, s0.cod, comp)}
+    bad = td.SimplicialFamily(f.h0, f.h1, f.h2, f.face, degen, f.sset, f.zeta)
+    return td.SelfDualFamily(bad, sf.tau_s, sf.tau1, sf.tau2)
+
+
+def test_transfers_trust_the_laws_of_the_family():
+    """The transfers check their inputs, and the family's laws are the
+    caller's: over a hypercover that breaks them, ``u_to_h`` returns what
+    it pulls back, which breaks the identity law wherever the datum's value
+    on ``(b, c)`` is not the identity, and ``h_to_u`` then refuses it as its
+    input.  Data the family's enumerator builds still solve to cover data."""
+    cover = dict(generated_covers())["point-1x2"]
+    sf = degeneracy_moved()
+    assert td.is_hypercover(sf.base, cover)
+    assert td.validate_selfdual(sf) == [
+        "d0 s0 = id on H0 fails",
+        "d2 s0 = s0 d1 on H1 fails",
+        "d0 s1 = s0 d0 on H1 fails",
+        "s0 s0 = s1 s0 on H0 fails",
+    ]
+    broken = 0
+    for u in td.enumerate_u_descent_data(cover, BOUND):
+        h = td.u_to_h(u, sf)
+        if dict(u.value("2", "2", "pt", "b", "c")) == {x: x for x in u.carrier["2"]}:
+            assert td.validate_h_descent(h) == []
+            assert td.h_to_u(h, cover).sigma == u.sigma
+        else:
+            broken += 1
+            assert td.validate_h_descent(h) == ["identity law fails at vertex '2' on 'b'"]
+            with pytest.raises(ValueError, match="^invalid descent datum: identity law fails"):
+                td.h_to_u(h, cover)
+    assert broken == 2
+    for h in td.enumerate_h_descent_data(sf, BOUND):
+        assert td.validate_u_descent(td.h_to_u(h, cover)) == []
+
+
+def test_u_to_h_pulls_back_along_a_family_that_is_no_hypercover():
+    """Over the Čech family with two elements of H2 moved off their
+    2-simplices, ``u_to_h`` pulls every datum back without reading level 2,
+    and ``h_to_u`` refuses the result, since the family is no hypercover."""
+    from test_golden_messages import with_base, zeta_off_a_triangle
+
+    cover = dict(generated_covers())["point-1x2"]
+    sf = with_base(zeta_off_a_triangle())
+    data = td.enumerate_u_descent_data(cover, BOUND)
+    assert data
+    for u in data:
+        h = td.u_to_h(u, sf)
+        assert h.carrier == u.carrier
+        with pytest.raises(ValueError, match="^faces of .* lie outside the limit"):
+            td.h_to_u(h, cover)

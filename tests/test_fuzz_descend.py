@@ -24,7 +24,3 @@ spec.loader.exec_module(fuzz_descend)
 def test_one_edit_to_a_datum_keeps_the_descend_contract(case):
     fuzz_descend.check(case)
 
-
-def test_the_fuzz_tool_runs(capsys):
-    assert fuzz_descend.main(["--examples", "5"]) == 0
-    assert capsys.readouterr().out == "5 edited data: every descend mode kept the contract\n"

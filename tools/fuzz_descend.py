@@ -1,6 +1,6 @@
 """Fuzz ``descend`` with one edit at a time to committed descent data.
 
-    python3 tools/fuzz_descend.py [--examples N]
+    python3 tools/fuzz_descend.py
 
 Each example takes one datum of ``perfbench/corpus/data/point-1x2-bound3.json``
 and makes one edit to it: a carrier element replaced or added, an entry
@@ -14,12 +14,11 @@ one of another type.  The edited datum goes through ``cli.main`` on the
 - no other exception escapes;
 - when ``--check`` exits 0, the decoded carriers have no repeats.
 
-The search is derandomized, so a run is reproducible.  Exits 1 and prints
-the failing example on a violation.  ``tests/test_fuzz_descend.py`` runs
-the same property on a few examples.
+The search is derandomized, so a run is reproducible.  Runs ``EXAMPLES``
+edited data; exits 1 and prints the failing example on a violation.
+``tests/test_fuzz_descend.py`` runs the same property on a few examples.
 """
 
-import argparse
 import contextlib
 import copy
 import io
@@ -44,6 +43,7 @@ LABELS = ("#0", "#1", "#2", "#9", "x", "")
 STRAY_KEYS = ("3", "(1,3)", "(3,1)", "q", "(a,z)", "#9", "extra")
 OTHER_TYPES = (None, 0, 1.5, True, "x", [], {}, ["#0"], {"#0": "#0"})
 KINDS = ("carrier", "drop", "sigma", "stray", "type")
+EXAMPLES = 2000
 
 
 @lru_cache(maxsize=None)
@@ -145,13 +145,9 @@ def check(case):
                     assert len(set(car)) == len(car), f"--check accepted a repeated carrier at {i!r}"
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--examples", type=int, default=2000, help="number of edited data to run")
-    args = parser.parse_args(argv)
-
+def main():
     @settings(
-        max_examples=args.examples,
+        max_examples=EXAMPLES,
         deadline=None,
         derandomize=True,
         database=None,
@@ -170,7 +166,7 @@ def main(argv=None):
     except AssertionError as exc:
         print(f"contract broken: {exc}", file=sys.stderr)
         return 1
-    print(f"{args.examples} edited data: every descend mode kept the contract")
+    print(f"{EXAMPLES} edited data: every descend mode kept the contract")
     return 0
 
 
