@@ -103,6 +103,25 @@ def test_search_outputs_of_relabelled_corpus_covers(name, corpus):
     assert check_searches(cover, td.connected_refinement(cover), DATA_BOUND[name]) > 0
 
 
+def check_main1(cover, data):
+    """Run ``main1_forward`` on each covering projection among ``data`` and
+    check the witness datum it reads off: it satisfies the descent laws,
+    agrees on the 1-simplices linked by a span morphism, and keeps the
+    datum's carriers."""
+    n = 0
+    for u in data:
+        if not td.is_covering_projection(cover, u):
+            continue
+        fam, datum = td.main1_forward(cover, u)
+        sset = fam.base.sset
+        assert td.validate_s_descent(sset, datum) == []
+        assert _equal_on_span_morphisms(datum, fam)
+        assert td.is_consistent(datum, fam)
+        assert td.s_to_action(sset, datum).carrier == u.carrier
+        n += 1
+    return n
+
+
 def test_main1_witness_data_of_the_corpus(corpus):
     """``main1_forward`` on the committed fixture data with carriers of at
     most two elements: the witness datum passes the public checks."""
@@ -113,12 +132,19 @@ def test_main1_witness_data_of_the_corpus(corpus):
         for d in c.json("data/point-1x2-bound3.json")["data"]
     ]
     small = [u for u in data if all(len(x) <= 2 for x in u.carrier.values())]
-    assert small
-    for u in small:
-        fam, datum = td.main1_forward(cover, u)
-        assert td.validate_s_descent(fam.base.sset, datum) == []
-        assert td.is_consistent(datum, fam)
-        assert td.s_to_action(fam.base.sset, datum).carrier == u.carrier
+    assert check_main1(cover, small) == len(small) > 0
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_main1_witness_data_of_generated_covers(name):
+    cover = dict(generated_covers())[name]
+    assert check_main1(cover, td.enumerate_u_descent_data(cover, DATA_BOUND[name])) > 0
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_main1_witness_data_of_relabelled_corpus_covers(name, corpus):
+    cover, _ = corpus[1].cover(name)
+    assert check_main1(cover, td.enumerate_u_descent_data(cover, DATA_BOUND[name])) > 0
 
 
 def old_validate_trivialization(lc):

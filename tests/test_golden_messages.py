@@ -696,3 +696,116 @@ EXPECTED_REPEAT = {
 @pytest.mark.parametrize("case", sorted(REPEAT_CASES))
 def test_repeated_carriers_and_stray_points_are_pinned(case):
     assert REPEAT_CASES[case]() == EXPECTED_REPEAT[case]
+
+
+# The refusals of the checked entries: each feeds one invalid input to an
+# entry that validates it, and pins the type and the whole message of what
+# it raises, so a change to how the entries refuse cannot change a byte.
+
+
+def refused(build):
+    """The type name and the message of the exception ``build`` raises."""
+    with pytest.raises(Exception) as exc:
+        build()
+    return [type(exc.value).__name__, str(exc.value)]
+
+
+def missing_value_u():
+    return u_datum("point-1x2", at(("1", "2"), "pt", ("a", "c")))
+
+
+def missing_value_s():
+    return s_datum(put(("1", "2"), None))[1]
+
+
+def without_theta_1():
+    """The glued trivializations of a datum of the fixture, the one at
+    ``'1'`` dropped."""
+    cover = dict(generated_covers())["point-1x2"]
+    lc = td.glue(cover, u_datum("point-1x2"))
+    theta = {i: th for i, th in lc.theta.items() if i != "1"}
+    return td.LocallyConstant(lc.space, cover, lc.carrier, theta)
+
+
+def fixture_refinement():
+    """The fixture's connected refinement, one of its consistent data with
+    carriers of two elements, and one of its actions with carriers of two
+    elements, the action of the first non-degenerate generator dropped."""
+    ref = td.connected_refinement(dict(generated_covers())["point-1x2"])
+    sset = ref.base.sset
+    d = _two_by_two(d for d in td.enumerate_s_descent_data(sset, 2) if td.is_consistent(d, ref))
+    a = _two_by_two(td.enumerate_actions(td.g_fundamental_presentation(ref), 2))
+    gen = sset.s1[1]
+    broken = td.GroupoidAction(a.carrier, {g: m for g, m in a.gen_action.items() if g != gen})
+    return ref, d, broken
+
+
+def three_objects():
+    """The fundamental presentation of the nerve of ``point-3x1``, whose
+    objects ``'1'``, ``'2'``, ``'3'`` outnumber the fixture's."""
+    return td.fundamental_presentation(td.cech_nerve(dict(generated_covers())["point-3x1"])[0])
+
+
+REFUSAL_CASES = {
+    "glue": lambda: td.glue(dict(generated_covers())["point-1x2"], missing_value_u()),
+    "extract_descent": lambda: td.extract_descent(without_theta_1()),
+    "is_covering_projection": lambda: td.is_covering_projection(
+        dict(generated_covers())["point-1x2"], missing_value_u()
+    ),
+    "s_to_action": lambda: td.s_to_action(*s_datum(put(("1", "2"), None))),
+    "action_to_s": lambda: td.action_to_s(s_datum()[0], action(put(("1", "2"), None))[1]),
+    "induced_h_from_s": lambda: td.induced_h_from_s(missing_value_s(), cech("point-1x2")),
+    "u_to_h": lambda: td.u_to_h(missing_value_u(), cech("point-1x2")),
+    "h_to_u": lambda: td.h_to_u(
+        h_datum("point-1x2", at(("1", "2"), "pt", ("a", "c"))), dict(generated_covers())["point-1x2"]
+    ),
+    "is_consistent": lambda: td.is_consistent(missing_value_s(), cech("point-1x2")),
+    "consistent_to_g_action": lambda: td.consistent_to_g_action(
+        fixture_refinement()[1], fixture_refinement()[0], three_objects()
+    ),
+    "action_to_consistent": lambda: td.action_to_consistent(fixture_refinement()[2], fixture_refinement()[0]),
+    "counit": lambda: td.counit(zeta_off_a_face()),
+    "assemble": lambda: td.assemble(
+        td.HypercoverIndex({"C": dict(generated_covers())["point-1x2"]}, {"C": cech("point-1x2")}, {})
+    ),
+}
+
+
+# Recorded from the entries as they were when each joined its own faults.
+EXPECTED_REFUSAL = {
+    "action_to_consistent": [
+        "ValueError",
+        "invalid action: no action for generator ('sp', '1', '1', 2, 0, 0)",
+    ],
+    "action_to_s": ["ValueError", "invalid action: no action for generator ('1', '2')"],
+    "assemble": ["ValueError", "invalid hypercover index: node 'C' fails the filling condition"],
+    "consistent_to_g_action": ["ValueError", "datum does not define an action: carrier missing at '3'"],
+    "counit": [
+        "ValueError",
+        "counit of an invalid family: zeta does not commute with face d_1 on level 1 at ('a', 'b'); "
+        "zeta does not commute with face d_0 on level 2 at ('a', 'a', 'b'); "
+        "zeta does not commute with face d_1 on level 2 at ('a', 'a', 'b'); "
+        "zeta does not commute with face d_2 on level 2 at ('a', 'b', 'a'); "
+        "zeta does not commute with degeneracy s_0 on level 1 at ('a', 'b'); "
+        "zeta does not commute with degeneracy s_1 on level 1 at ('a', 'b')",
+    ],
+    "extract_descent": ["ValueError", "invalid trivialization: no trivialization at '1'"],
+    "glue": ["ValueError", "invalid descent datum: missing value over ('1','2') at 'pt' on ('a','c')"],
+    "h_to_u": [
+        "ValueError",
+        "invalid descent datum: missing value at ('1', '2'), point 'pt', element ('a', 'c')",
+    ],
+    "induced_h_from_s": ["ValueError", "invalid descent datum: no bijection for 1-simplex ('1', '2')"],
+    "is_consistent": ["ValueError", "invalid descent datum: no bijection for 1-simplex ('1', '2')"],
+    "is_covering_projection": [
+        "ValueError",
+        "invalid descent datum: missing value over ('1','2') at 'pt' on ('a','c')",
+    ],
+    "s_to_action": ["ValueError", "invalid descent datum: no bijection for 1-simplex ('1', '2')"],
+    "u_to_h": ["ValueError", "invalid descent datum: missing value over ('1','2') at 'pt' on ('a','c')"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSAL_CASES))
+def test_refusals_of_the_checked_entries_are_pinned(case):
+    assert refused(REFUSAL_CASES[case]) == EXPECTED_REFUSAL[case]
