@@ -28,10 +28,9 @@ from .descent import (
     _as_datum,
     _equal_on_span_morphisms,
     enumerate_s_descent_data,
-    validate_s_descent,
     validate_u_descent,
 )
-from .errors import EmptyComponentError, InvariantError
+from .errors import EmptyComponentError, InvariantError, refuse
 from .family import ClassSpan, SelfDualFamily, condition_g, span_morphism_exists, span_of_1simplex
 from .fintopos import (
     Family,
@@ -81,9 +80,7 @@ def glue(cover: Family, u: UDescentDatum) -> LocallyConstant:
     """Glue the trivial pieces along the datum: quotient the disjoint union
     of carrier-times-component presheaves by the identifications the datum
     prescribes over each pairwise product."""
-    bad = validate_u_descent(u)
-    if bad:
-        raise ValueError("invalid descent datum: " + "; ".join(bad))
+    refuse(validate_u_descent(u), "invalid descent datum")
     comps = family_components(cover)
     base = cover.total.base
     fibers = {
@@ -151,9 +148,7 @@ def extract_descent(lc: LocallyConstant) -> UDescentDatum:
     pair swap on the space by the two trivializations.  Trivializations that
     pass :func:`validate_trivialization` give a datum by construction, and it
     is not validated again."""
-    bad = validate_trivialization(lc)
-    if bad:
-        raise ValueError("invalid trivialization: " + "; ".join(bad))
+    refuse(validate_trivialization(lc), "invalid trivialization")
     comps = family_components(lc.cover)
     base = lc.cover.total.base
     pairs, _ = _overlaps(lc.cover.index, comps)
@@ -196,9 +191,7 @@ def is_covering_projection(cover: Family, u: UDescentDatum) -> bool:
     """Whether every element of every pairwise product is the leg image of
     an action span with representable vertex (the canonical site of the
     presheaf topos)."""
-    bad = validate_u_descent(u)
-    if bad:
-        raise ValueError("invalid descent datum: " + "; ".join(bad))
+    refuse(validate_u_descent(u), "invalid descent datum")
     comps = family_components(cover)
     base = cover.total.base
     return all(
@@ -256,7 +249,9 @@ def all_action_spans(cover: Family, u: UDescentDatum):
 def main1_forward(cover: Family, u: UDescentDatum):
     """From a covering projection to a hypercover refinement carrying an
     index descent datum: refine by the action spans with representable
-    vertex (plus identities) and read the datum off the witnesses."""
+    vertex (plus identities) and read the datum off the witnesses.  The
+    witnesses of a covering projection form a consistent index datum, so
+    the datum is read off, not re-checked."""
     if not is_covering_projection(cover, u):
         raise ValueError("the datum is not a covering projection")
     spans = all_action_spans(cover, u)
@@ -267,13 +262,7 @@ def main1_forward(cover: Family, u: UDescentDatum):
         if w is None:
             raise ValueError(f"refinement 1-simplex {l!r} is not an action span")
         s[l] = w
-    datum = SDescentDatum(carrier=dict(u.carrier), s=s)
-    bad = validate_s_descent(fam.base.sset, datum)
-    if bad:
-        raise ValueError("witnesses do not form a descent datum: " + "; ".join(bad))
-    if not _equal_on_span_morphisms(datum, fam):
-        raise ValueError("witness datum is not consistent")
-    return fam, datum
+    return fam, SDescentDatum(carrier=dict(u.carrier), s=s)
 
 
 def _orbits(objects, gens, ends, carr, act):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IncompatibleFamilyError
+from .errors import IncompatibleFamilyError, refuse
 from .fintopos import Family, connected_components, family_components
 from .family import SelfDualFamily, cech_simplicial_family, span_morphism_pairs
 from .groupoid import (
@@ -88,17 +88,13 @@ def validate_s_descent(sset: TruncSSet, d: SDescentDatum):
 def s_to_action(sset: TruncSSet, d: SDescentDatum) -> GroupoidAction:
     """The action of the fundamental groupoid with each generator acting by
     its bijection; inverse to :func:`action_to_s`."""
-    bad = validate_s_descent(sset, d)
-    if bad:
-        raise ValueError("invalid descent datum: " + "; ".join(bad))
+    refuse(validate_s_descent(sset, d), "invalid descent datum")
     return _as_action(sset, d)
 
 
 def action_to_s(sset: TruncSSet, a: GroupoidAction, pres: GroupoidPresentation = None) -> SDescentDatum:
     pres = pres or fundamental_presentation(sset)
-    bad = validate_action(pres, a)
-    if bad:
-        raise ValueError("invalid action: " + "; ".join(bad))
+    refuse(validate_action(pres, a), "invalid action")
     return _as_datum(sset, a)
 
 
@@ -192,9 +188,7 @@ def validate_h_descent(d: HDescentDatum):
 def induced_h_from_s(d: SDescentDatum, f: SelfDualFamily) -> HDescentDatum:
     """Extend an index datum to the family: the bijection of a 1-simplex is
     taken constantly on its whole component."""
-    bad = validate_s_descent(f.base.sset, d)
-    if bad:
-        raise ValueError("invalid descent datum: " + "; ".join(bad))
+    refuse(validate_s_descent(f.base.sset, d), "invalid descent datum")
     sigma = {}
     for l in f.base.sset.s1:
         comp = f.base.component(1, l)
@@ -275,9 +269,7 @@ def u_to_h(u: UDescentDatum, f: SelfDualFamily) -> HDescentDatum:
     family's level 0 must be the datum's cover, else ``ValueError``; the
     result, not validated again, is a datum if the family passes
     ``validate_selfdual``."""
-    bad = validate_u_descent(u)
-    if bad:
-        raise ValueError("invalid descent datum: " + "; ".join(bad))
+    refuse(validate_u_descent(u), "invalid descent datum")
     fam = f.base
     _check_level0(fam, u.cover)
     d1, d0 = fam.face[(1, 1)], fam.face[(1, 0)]
@@ -306,9 +298,7 @@ def h_to_u(d: HDescentDatum, cover: Family) -> UDescentDatum:
     f = d.family.base
     if not is_hypercover(f, cover):
         raise ValueError("the family is not a hypercover refinement of the cover")
-    bad = validate_h_descent(d)
-    if bad:
-        raise ValueError("invalid descent datum: " + "; ".join(bad))
+    refuse(validate_h_descent(d), "invalid descent datum")
     base = cover.total.base
     d1, d0 = f.face[(1, 1)], f.face[(1, 0)]
     sigma = {}
@@ -334,9 +324,7 @@ def h_to_u(d: HDescentDatum, cover: Family) -> UDescentDatum:
 def is_consistent(d: SDescentDatum, f: SelfDualFamily) -> bool:
     """Whether the datum assigns equal bijections to every pair of parallel
     1-simplices linked by a span morphism."""
-    bad = validate_s_descent(f.base.sset, d)
-    if bad:
-        raise ValueError("invalid descent datum: " + "; ".join(bad))
+    refuse(validate_s_descent(f.base.sset, d), "invalid descent datum")
     return _equal_on_span_morphisms(d, f)
 
 
@@ -353,9 +341,7 @@ def consistent_to_g_action(
         raise ValueError("descent datum is not consistent")
     pres = pres or g_fundamental_presentation(f)
     action = _as_action(f.base.sset, d)
-    bad = validate_action(pres, action)
-    if bad:
-        raise ValueError("datum does not define an action: " + "; ".join(bad))
+    refuse(validate_action(pres, action), "datum does not define an action")
     return action
 
 
@@ -363,9 +349,7 @@ def action_to_consistent(
     a: GroupoidAction, f: SelfDualFamily, pres: GroupoidPresentation = None
 ) -> SDescentDatum:
     pres = pres or g_fundamental_presentation(f)
-    bad = validate_action(pres, a)
-    if bad:
-        raise ValueError("invalid action: " + "; ".join(bad))
+    refuse(validate_action(pres, a), "invalid action")
     d = _as_datum(f.base.sset, a)
     if not is_consistent(d, f):
         raise ValueError("action does not yield a consistent datum")

@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one refusal helper."""
 
 
 class BaseMismatchError(ValueError):
@@ -32,3 +32,10 @@ class InvariantError(AssertionError):
 
     Raised by explicit checks rather than ``assert`` statements, so the
     guarantee is still checked under ``python -O``."""
+
+
+def refuse(faults, what):
+    """Raise ``ValueError("<what>: <fault>; <fault>")`` if there are faults:
+    how every checked entry refuses the input its validator faults."""
+    if faults:
+        raise ValueError(f"{what}: " + "; ".join(faults))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import refuse
 from .fintopos import (
     Family,
     Presheaf,
@@ -410,9 +411,7 @@ def counit(f: SimplicialFamily) -> SimplicialFamilyMorphism:
     level-0 family: 1-simplices map to their endpoint pairs and elements to
     the pairs of their face images; likewise in degree two with the three
     composite legs."""
-    bad = validate_family(f)
-    if bad:
-        raise ValueError("counit of an invalid family: " + "; ".join(bad))
+    refuse(validate_family(f), "counit of an invalid family")
     target = cech_simplicial_family(f.level0_family())
     tf = target.base
     s = f.sset

@@ -17,7 +17,7 @@ import graphlib
 from dataclasses import dataclass
 
 from .covering import _structure_maps_commute
-from .errors import UndeterminedError
+from .errors import UndeterminedError, refuse
 from .family import (
     SelfDualFamily,
     SimplicialFamilyMorphism,
@@ -307,9 +307,7 @@ def assemble(pi: HypercoverIndex, budget: int = 10, max_len: int = 2):
     Returns (progroupoid, report).  Any invalid node or refinement aborts
     with its diagnosis.
     """
-    bad = validate_index(pi)
-    if bad:
-        raise ValueError("invalid hypercover index: " + "; ".join(bad))
+    refuse(validate_index(pi), "invalid hypercover index")
     groupoids = {name: g_fundamental_presentation(fam) for name, fam in pi.nodes.items()}
     transitions = {}
     report = {}
