@@ -10,10 +10,12 @@ when the action spans with representable vertex jointly cover every
 pairwise product.  These functions walk the elements of the pairwise
 products of overlapping components in one order
 (``simplicial._pair_elements``), read off the components without building
-the Čech nerve.  The forward pipeline turns a covering projection into
-a hypercover refinement with an index descent datum; the second pipeline
-matches the consistent index data with the actions of the refined
-fundamental groupoid, by exhaustive verification at a carrier bound.
+the Čech nerve.  Gluing and the covering-projection test refuse a datum
+over another cover.  The forward pipeline turns a covering projection
+into a hypercover refinement with an index descent datum, read off the
+witnesses unchecked; the second pipeline matches the consistent index
+data with the actions of the refined fundamental groupoid, by exhaustive
+verification at a carrier bound.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .fintopos import (
     quotient_by_pairs,
     sorted_labels,
 )
-from .groupoid import enumerate_actions, g_fundamental_presentation
+from .groupoid import _carrier_faults, enumerate_actions, g_fundamental_presentation
 from .hypercover import (
     SpanClassSp,
     _unique_by,
@@ -76,11 +78,19 @@ class ActionSpan:
         return self.span.data_key()
 
 
+def _check_datum(cover: Family, u: UDescentDatum):
+    """Refuse a datum over another cover, before reading its values, or one
+    that breaks the descent laws."""
+    if cover != u.cover:
+        raise ValueError("the datum is over another cover")
+    refuse(validate_u_descent(u), "invalid descent datum")
+
+
 def glue(cover: Family, u: UDescentDatum) -> LocallyConstant:
     """Glue the trivial pieces along the datum: quotient the disjoint union
     of carrier-times-component presheaves by the identifications the datum
     prescribes over each pairwise product."""
-    refuse(validate_u_descent(u), "invalid descent datum")
+    _check_datum(cover, u)
     comps = family_components(cover)
     base = cover.total.base
     fibers = {
@@ -119,8 +129,11 @@ def validate_trivialization(lc: LocallyConstant):
     """Empty iff each trivialization is an isomorphism over its component
     between the constant piece of its carrier and the space.  The datum such
     trivializations induce (:func:`extract_descent`) then satisfies the
-    descent laws by construction, so it is not checked here."""
-    out = []
+    descent laws by construction, so it is not checked here.  Carrier faults
+    end the check."""
+    out = _carrier_faults(lc.cover.index, lc.carrier)
+    if out:
+        return out
     comps = family_components(lc.cover)
     base = lc.cover.total.base
     for i in comps:
@@ -191,7 +204,7 @@ def is_covering_projection(cover: Family, u: UDescentDatum) -> bool:
     """Whether every element of every pairwise product is the leg image of
     an action span with representable vertex (the canonical site of the
     presheaf topos)."""
-    refuse(validate_u_descent(u), "invalid descent datum")
+    _check_datum(cover, u)
     comps = family_components(cover)
     base = cover.total.base
     return all(
@@ -228,7 +241,8 @@ def sieve_check(spans) -> bool:
 
 
 def all_action_spans(cover: Family, u: UDescentDatum):
-    """Identity spans plus every action span with representable vertex."""
+    """Identity spans plus every action span with representable vertex, of a
+    valid datum over ``cover`` (unchecked: :func:`is_covering_projection` checks it)."""
     comps = family_components(cover)
     base = cover.total.base
     spans = []
@@ -249,19 +263,14 @@ def all_action_spans(cover: Family, u: UDescentDatum):
 def main1_forward(cover: Family, u: UDescentDatum):
     """From a covering projection to a hypercover refinement carrying an
     index descent datum: refine by the action spans with representable
-    vertex (plus identities) and read the datum off the witnesses.  The
-    witnesses of a covering projection form a consistent index datum, so
-    the datum is read off, not re-checked."""
+    vertex (plus identities) and read the datum off the witnesses.  Each
+    1-simplex is an action span, and the witnesses of a covering projection
+    form a consistent index datum, so the datum is read off, not re-checked."""
     if not is_covering_projection(cover, u):
         raise ValueError("the datum is not a covering projection")
     spans = all_action_spans(cover, u)
     fam = one_span_refinement(cover, SpanClassSp(tuple(s.span for s in spans)))
-    s = {}
-    for l in fam.base.sset.s1:
-        w = action_span_test(span_of_1simplex(fam.base, l), u)
-        if w is None:
-            raise ValueError(f"refinement 1-simplex {l!r} is not an action span")
-        s[l] = w
+    s = {l: action_span_test(span_of_1simplex(fam.base, l), u) for l in fam.base.sset.s1}
     return fam, SDescentDatum(carrier=dict(u.carrier), s=s)
 
 

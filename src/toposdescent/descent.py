@@ -20,8 +20,9 @@ The enumerators trust the slot search: what it builds satisfies every law
 it encodes, so their outputs are not validated again.  Every other public
 entry validates what it is given (the conversions, the transfers between
 family and cover data, and :func:`is_consistent`), since its input may
-come from outside.  The transfers trust what they compute from checked
-inputs: by the correspondence above, it is a datum when the family passes
+come from outside, and refuses it through ``errors.refuse``.  The
+transfers trust what they compute from checked inputs: by the
+correspondence above, it is a datum when the family passes
 ``validate_selfdual``, which is the caller's to check.
 """
 
@@ -213,11 +214,12 @@ class UDescentDatum:
 
 
 def validate_u_descent(u: UDescentDatum):
-    """Empty iff the datum is total on the pairwise products, natural in the
-    point, trivial on diagonals, and compatible on triple products.  Checked
-    in stages: the first pair with a missing value or a non-bijection ends
-    the check; naturality is checked on every pair, and the identity and
-    cocycle laws only on a natural datum."""
+    """Empty iff the datum is total on the pairwise products, has no entry
+    off them, is natural in the point, trivial on diagonals, and compatible
+    on triple products.  Checked in stages: an entry over a pair the cover
+    lacks ends the check, as does the first pair with a missing value, a
+    non-bijection or an entry off its product; naturality is checked on
+    every pair, and the identity and cocycle laws only on a natural datum."""
     cover = u.cover
     comps = family_components(cover)
     out = _carrier_faults(cover.index, u.carrier)
@@ -225,15 +227,26 @@ def validate_u_descent(u: UDescentDatum):
         return out
     base = cover.total.base
     pairs, triples = _overlaps(cover.index, comps)
+    out = [f"entry over {pair!r} off the cover" for pair in u.sigma if pair not in pairs]
+    if out:
+        return out
     for i, j in pairs:
         table = u.sigma.get((i, j), {})
         seen = len(out)
+        have = set()
         for _, _, p, x, y in _pair_elements(base.points, comps, ((i, j),)):
+            have.add((p, (x, y)))
             m = table.get(p, {}).get((x, y))
             if m is None:
                 out.append(f"missing value over ({i!r},{j!r}) at {p!r} on ({x!r},{y!r})")
             elif not _is_bijection(m, u.carrier[i], u.carrier[j]):
                 out.append(f"value over ({i!r},{j!r}) on ({x!r},{y!r}) is not a carrier bijection")
+        for p, row in table.items():
+            if p not in base.points:
+                out.append(f"entry over ({i!r},{j!r}) at {p!r} off the cover")
+            else:
+                off = [e for e in row if (p, e) not in have]
+                out.extend(f"entry over ({i!r},{j!r}) at {p!r} on {e!r} off the cover" for e in off)
         if len(out) > seen:
             return out
         for p, q in base.strict_pairs():

@@ -4,8 +4,8 @@ oracles.
 ``enumerate_actions`` and ``enumerate_h_descent_data`` (and so
 ``enumerate_s_descent_data`` and ``enumerate_u_descent_data``) do not
 validate their solutions again, ``main2_equivalence`` reads data and
-actions into each other unchecked, and ``main1_forward`` validates its
-witness datum once.  The transfers check their inputs and not their
+actions into each other unchecked, and ``main1_forward`` reads its
+witness datum off without checking it.  The transfers check their inputs and not their
 outputs: ``u_to_h`` does not validate the datum it pulls back, ``h_to_u``
 the datum it solves, nor ``extract_descent`` the datum it reads off, and
 ``validate_trivialization`` does not read that datum off.  Each test runs

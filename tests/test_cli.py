@@ -454,3 +454,19 @@ def test_a_cover_keyed_by_a_point_outside_its_base_is_an_input_error(files, argv
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("mode", ["--check", "--glue", "--covproj", "--main1"])
+def test_descend_on_a_stray_sigma_entry_reports_the_violation(tmp_path, mode, capsys):
+    # datum 5 of the point-1x2 corpus data with an entry at (a,z), which is
+    # no element of the pairwise product over (1,1)
+    datum = json.loads((CORPUS / "data" / "point-1x2-bound3.json").read_text())["data"][5]
+    datum["sigma"]["(1,1)"]["pt"]["(a,z)"] = {"#0": "#0", "#1": "#1"}
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    cover = str(CORPUS / "covers" / "point-1x2.json")
+    assert main(["descend", cover, str(path), mode]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report == {
+        "violations": ["entry over ('1','1') at 'pt' on ('a', 'z') off the cover"]
+    }

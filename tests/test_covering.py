@@ -3,7 +3,7 @@
 import pytest
 
 import toposdescent as td
-from conftest import swap_datum
+from conftest import generated_covers, swap_datum
 
 
 def trivial_datum(cover):
@@ -296,3 +296,17 @@ def test_main2_on_chain_base():
     ref = td.connected_refinement(cover)
     rep = td.main2_equivalence(cover, ref, 2)
     assert rep.ok and rep.object_count_data == rep.object_count_actions
+
+
+def test_a_datum_over_another_cover_is_refused_before_its_values_are_read():
+    """A datum of ``point-1x2`` given with the cover ``point-2x3``: the
+    entries that read its values refuse it with a ``ValueError``, and do not
+    fail on a lookup of an element the datum does not have."""
+    covers = dict(generated_covers())
+    other = covers["point-2x3"]
+    data = td.enumerate_u_descent_data(covers["point-1x2"], 2)
+    assert data
+    for u in data:
+        for entry in (td.glue, td.is_covering_projection, td.main1_forward):
+            with pytest.raises(ValueError, match="^the datum is over another cover$"):
+                entry(other, u)

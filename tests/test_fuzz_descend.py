@@ -5,7 +5,7 @@ runs many more examples: each edited datum of the ``point-1x2`` corpus data
 goes through ``cli.main`` with ``--check``, ``--glue``, ``--covproj`` and
 ``--main1``; every exit code is 0, 1 or 2, exit 2 prints one ``error:``
 line, nothing else escapes, and a datum ``--check`` accepts has no repeated
-carrier element.
+carrier element and passes ``--main1``.
 """
 
 import importlib.util

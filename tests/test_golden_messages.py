@@ -809,3 +809,73 @@ EXPECTED_REFUSAL = {
 @pytest.mark.parametrize("case", sorted(REFUSAL_CASES))
 def test_refusals_of_the_checked_entries_are_pinned(case):
     assert refused(REFUSAL_CASES[case]) == EXPECTED_REFUSAL[case]
+
+
+# Entries off the cover: an entry of a cover datum over a pair the cover
+# does not have ends the check; one at a point or an element the cover does
+# not have is a fault of its pair, like a missing value, so the first
+# faulty pair ends the check and no law is checked.  Trivializations with a
+# missing or repeating carrier are refused with the carrier's fault.
+
+
+def stray_point(table):
+    table[("1", "2")]["q"] = {}
+
+
+STRAY_CASES = {
+    "u/stray-element": lambda: td.validate_u_descent(
+        u_datum("point-1x2", at(("1", "1"), "pt", ("a", "z"), {0: 0, 1: 1}))
+    ),
+    "u/stray-element-label": lambda: td.validate_u_descent(
+        u_datum("point-1x2", at(("2", "1"), "pt", "ba", {0: 0, 1: 1}))
+    ),
+    "u/stray-point": lambda: td.validate_u_descent(u_datum("point-1x2", stray_point)),
+    "u/stray-pair": lambda: td.validate_u_descent(u_datum("point-1x2", put(("1", "3"), {"pt": {}}))),
+    "u/stray-pair-ends-the-check": lambda: td.validate_u_descent(
+        u_datum("point-1x2", both(at(("1", "2"), "pt", ("a", "c")), put("#9", {}), stray_point))
+    ),
+    "u/value-and-stray-at-one-pair": lambda: td.validate_u_descent(
+        u_datum("point-1x2", both(at(("1", "2"), "pt", ("a", "c")), at(("1", "2"), "pt", ("c", "a"), SWAP)))
+    ),
+    "u/first-faulty-pair-ends-the-check": lambda: td.validate_u_descent(
+        u_datum("point-1x2", both(stray_point, at(("2", "2"), "pt", ("c", "a"), SWAP)))
+    ),
+    "u/stray-under-chain": lambda: td.validate_u_descent(
+        u_datum("chain-constants", at(("1", "2"), "b", ("z", "x"), SWAP))
+    ),
+    "trivialization/missing-carrier": lambda: td.validate_trivialization(glued_with_carrier({"1": (0, 1)})),
+    "trivialization/repeated-carrier": lambda: td.validate_trivialization(
+        glued_with_carrier({"1": (0, 1), "2": (0, 0, 1)})
+    ),
+    "extract/missing-carrier": lambda: refused(lambda: td.extract_descent(glued_with_carrier({"1": (0, 1)}))),
+}
+
+
+def glued_with_carrier(carrier):
+    """The glued trivializations of a datum of the fixture, with ``carrier``
+    in place of the datum's carriers."""
+    lc = td.glue(dict(generated_covers())["point-1x2"], u_datum("point-1x2"))
+    return dataclasses.replace(lc, carrier=carrier)
+
+
+EXPECTED_STRAY = {
+    "extract/missing-carrier": ["ValueError", "invalid trivialization: carrier missing at '2'"],
+    "trivialization/missing-carrier": ["carrier missing at '2'"],
+    "trivialization/repeated-carrier": ["carrier at '2' lists an element twice"],
+    "u/first-faulty-pair-ends-the-check": ["entry over ('1','2') at 'q' off the cover"],
+    "u/stray-element": ["entry over ('1','1') at 'pt' on ('a', 'z') off the cover"],
+    "u/stray-element-label": ["entry over ('2','1') at 'pt' on 'ba' off the cover"],
+    "u/stray-pair": ["entry over ('1', '3') off the cover"],
+    "u/stray-pair-ends-the-check": ["entry over '#9' off the cover"],
+    "u/stray-point": ["entry over ('1','2') at 'q' off the cover"],
+    "u/stray-under-chain": ["entry over ('1','2') at 'b' on ('z', 'x') off the cover"],
+    "u/value-and-stray-at-one-pair": [
+        "missing value over ('1','2') at 'pt' on ('a','c')",
+        "entry over ('1','2') at 'pt' on ('c', 'a') off the cover",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRAY_CASES))
+def test_entries_off_the_cover_and_bad_trivialization_carriers_are_pinned(case):
+    assert STRAY_CASES[case]() == EXPECTED_STRAY[case]

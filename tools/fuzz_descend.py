@@ -12,7 +12,9 @@ one of another type.  The edited datum goes through ``cli.main`` on the
 - the exit code is 0, 1 or 2;
 - exit 2 prints exactly one ``error:`` line;
 - no other exception escapes;
-- when ``--check`` exits 0, the decoded carriers have no repeats.
+- when ``--check`` exits 0, the decoded carriers have no repeats, and
+  ``--main1`` exits 0 too: a datum the check accepts is a covering
+  projection whose witness datum gives the datum back.
 
 The search is derandomized, so a run is reproducible.  Runs ``EXAMPLES``
 edited data; exits 1 and prints the failing example on a violation.
@@ -130,11 +132,13 @@ def check(case):
     """Raise ``AssertionError`` unless every mode keeps the contract on the
     edited datum of ``case``."""
     _, _, _, doc = case
+    codes = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "datum.json"
         path.write_text(json.dumps(doc))
         for mode in MODES:
             code, _, err = run_descend(path, mode)
+            codes[mode] = code
             assert code in (0, 1, 2), f"{mode}: exit code {code!r}"
             if code == 2:
                 lines = err.splitlines()
@@ -143,6 +147,8 @@ def check(case):
                 u = udescent_from_json(doc, cover())
                 for i, car in u.carrier.items():
                     assert len(set(car)) == len(car), f"--check accepted a repeated carrier at {i!r}"
+    if codes["--check"] == 0:
+        assert codes["--main1"] == 0, f"--check exits 0 but --main1 exits {codes['--main1']!r}"
 
 
 def main():
