@@ -822,6 +822,13 @@ def stray_point(table):
     table[("1", "2")]["q"] = {}
 
 
+def glued_with_carrier(carrier):
+    """The glued trivializations of a datum of the fixture, with ``carrier``
+    in place of the datum's carriers."""
+    lc = td.glue(dict(generated_covers())["point-1x2"], u_datum("point-1x2"))
+    return dataclasses.replace(lc, carrier=carrier)
+
+
 STRAY_CASES = {
     "u/stray-element": lambda: td.validate_u_descent(
         u_datum("point-1x2", at(("1", "1"), "pt", ("a", "z"), {0: 0, 1: 1}))
@@ -849,13 +856,6 @@ STRAY_CASES = {
     ),
     "extract/missing-carrier": lambda: refused(lambda: td.extract_descent(glued_with_carrier({"1": (0, 1)}))),
 }
-
-
-def glued_with_carrier(carrier):
-    """The glued trivializations of a datum of the fixture, with ``carrier``
-    in place of the datum's carriers."""
-    lc = td.glue(dict(generated_covers())["point-1x2"], u_datum("point-1x2"))
-    return dataclasses.replace(lc, carrier=carrier)
 
 
 EXPECTED_STRAY = {
