@@ -50,7 +50,13 @@ from .serialize import (
     sset_to_json,
     udescent_from_json,
 )
-from .simplicial import cech_nerve, check_selfdual_groupoid_condition, validate, validate_duality
+from .simplicial import (
+    _pair_elements,
+    cech_nerve,
+    check_selfdual_groupoid_condition,
+    validate,
+    validate_duality,
+)
 
 
 class InputError(Exception):
@@ -273,10 +279,14 @@ def cmd_descend(args):
     if args.mode == "main1":
         fam, sdatum = main1_forward(cover, datum)
         back = h_to_u(induced_h_from_s(sdatum, fam), cover)
-        residual = []
-        for pair in sorted(datum.sigma, key=lambda x: enc_label(x)):
-            if back.sigma.get(pair) != datum.sigma[pair]:
-                residual.append(enc_label(pair))
+        # the two data are compared as maps on the elements of the pairwise
+        # products, so an empty table left out and one written are the same
+        points, comps = cover.total.base.points, family_components(cover)
+        residual = [
+            enc_label(pair)
+            for pair in sorted(datum.sigma, key=enc_label)
+            if any(back.value(*e) != datum.value(*e) for e in _pair_elements(points, comps, (pair,)))
+        ]
         report = {
             "generator_count": len(fam.base.sset.s1),
             "s_datum": sdescent_to_json(sdatum),

@@ -45,7 +45,7 @@ from .groupoid import (
     validate_action,
 )
 from .hypercover import _check_level0, is_hypercover
-from .simplicial import TruncSSet, _overlaps, _pair_elements
+from .simplicial import TruncSSet, _LevelPlaces, _overlaps, _pair_elements, _places_at
 
 
 def _compose(outer, inner):
@@ -135,14 +135,22 @@ class HDescentDatum:
 
 
 def validate_h_descent(d: HDescentDatum):
-    """Empty iff the elementwise bijections are natural in the base point,
-    trivial on degenerate images, and compatible with every triangle.
-    Checked in stages: the first 1-simplex with a missing value or a
-    non-bijection ends the check; naturality is checked on every 1-simplex,
-    and the identity and cocycle laws only on a natural datum."""
+    """Empty iff the datum is total on the components of level one, has no
+    entry off them, is natural in the base point, trivial on degenerate
+    images, and compatible with every triangle.  Checked in stages, as
+    :func:`validate_u_descent` is: an entry at a 1-simplex the family lacks
+    ends the check, as does the first 1-simplex with a missing value, a
+    non-bijection or an entry off its component; naturality is checked on
+    every 1-simplex, and the identity and cocycle laws only on a natural
+    datum.  An element of H2 whose faces do not lie over the faces of its
+    2-simplex is reported in place of its cocycle law."""
     f = d.family.base
     sset = f.sset
     out = _carrier_faults(sset.s0, d.carrier)
+    if out:
+        return out
+    ix = sset._positions_view()
+    out = [f"entry at {l!r} off the family" for l in d.sigma_hat if l not in ix.pos[1]]
     if out:
         return out
     for l in sset.s1:
@@ -157,6 +165,16 @@ def validate_h_descent(d: HDescentDatum):
                     out.append(f"missing value at {l!r}, point {p!r}, element {e!r}")
                 elif not _is_bijection(m, d.carrier[i], d.carrier[j]):
                     out.append(f"value at {l!r}, {e!r} is not a carrier bijection")
+        for p, row in table.items():
+            if p not in comp.base.points:
+                out.append(f"entry at {l!r}, point {p!r} off the family")
+            else:
+                inside = comp.fiber_set(p)
+                out.extend(
+                    f"entry at {l!r}, point {p!r}, element {e!r} off the family"
+                    for e in row
+                    if e not in inside
+                )
         if len(out) > seen:
             return out
         for p, q in comp.base.strict_pairs():
@@ -174,15 +192,29 @@ def validate_h_descent(d: HDescentDatum):
                 m = d.value(l, p, s0.apply(p, x))
                 if any(m[y] != y for y in d.carrier[i]):
                     out.append(f"identity law fails at vertex {i!r} on {x!r}")
-    d2, d1, d0 = (f.face[(2, k)] for k in (2, 1, 0))
-    for w in sset.s2:
-        comp = f.component(2, w)
-        l, t, r = sset.d(2, 2, w), sset.d(2, 1, w), sset.d(2, 0, w)
-        for p in comp.base.points:
-            for x in comp.fibers[p]:
-                lhs = _compose(d.value(r, p, d0.apply(p, x)), d.value(l, p, d2.apply(p, x)))
-                if lhs != d.value(t, p, d1.apply(p, x)):
-                    out.append(f"cocycle fails at 2-simplex {w!r} on {x!r}")
+    # per point: the elements of H2 over each 2-simplex, and the faces of
+    # each element of H2 with the 1-simplices they lie over, by position
+    faces = [f.face[(2, k)] for k in (2, 1, 0)]
+    points = f.h0.base.points
+    over, under = {}, {}
+    for p in points:
+        pos = _LevelPlaces((f.h0.fibers[p], f.h1.fibers[p]))
+        z1 = _places_at(f.zeta[1], p, ix.pos, 1)
+        over[p] = [[] for _ in sset.s2]
+        for q, k in enumerate(_places_at(f.zeta[2], p, ix.pos, 2)):
+            over[p][k].append(q)
+        under[p] = [[(y, z1[y]) for y in _places_at(m, p, pos, 1)] for m in faces]
+    for k, w in enumerate(sset.s2):
+        ends = tuple(ix.face[(2, n)][k] for n in (2, 1, 0))
+        l, t, r = map(sset.s1.__getitem__, ends)
+        for p in points:
+            h1, h2 = f.h1.fibers[p], f.h2.fibers[p]
+            for q in over[p][k]:
+                (a, la), (b, lb), (c, lc) = (places[q] for places in under[p])
+                if (la, lb, lc) != ends:
+                    out.append(f"faces of {h2[q]!r} at {p!r} lie off those of 2-simplex {w!r}")
+                elif _compose(d.value(r, p, h1[c]), d.value(l, p, h1[a])) != d.value(t, p, h1[b]):
+                    out.append(f"cocycle fails at 2-simplex {w!r} on {h2[q]!r}")
     return out
 
 

@@ -19,7 +19,10 @@ simplicial map, and a self-duality is a strict duality on each ``H(p)``
 over the one on ``S``.  :func:`validate_family` and
 :func:`validate_selfdual` check exactly that, fiber by fiber, through the
 law rows of :mod:`simplicial` that also check ``S``; a law is reported
-once if it fails on some fiber.
+once if it fails on some fiber.  They read every level map, zeta and tau
+by position (``simplicial._places_at``): a placed map, as the refinement
+builder writes the maps touching H2, gives its stored places, and any
+other map its ``comp`` against the places of its codomain's fiber.
 """
 
 from __future__ import annotations
@@ -46,10 +49,10 @@ from .simplicial import (
     _after,
     _duality_violations,
     _identities,
-    _images,
+    _LevelPlaces,
     _mismatches,
+    _places_at,
     _squares,
-    _values_along,
     cech_nerve,
     validate,
     validate_simplicial_map,
@@ -99,12 +102,11 @@ class SimplicialFamily:
         key = (n, w)
         if key not in self._derived:
             lvl, simplices = self.level(n), self.sset.level(n)
-            pos = self.sset._positions_view().pos[n]
+            pos = self.sset._positions_view().pos
             fibers = [{p: [] for p in lvl.base.points} for _ in simplices]
             for p in lvl.base.points:
-                fiber = lvl.fibers[p]
-                for e, z in zip(fiber, _values_along(self.zeta[n].comp[p], fiber)):
-                    fibers[pos[z]][p].append(e)
+                for e, k in zip(lvl.fibers[p], _places_at(self.zeta[n], p, pos, n)):
+                    fibers[k][p].append(e)
             for v, fib in zip(simplices, fibers):
                 self._derived[(n, v)] = _sub_presheaf(
                     lvl, {p: tuple(es) for p, es in fib.items()}
@@ -172,17 +174,21 @@ def span_of_1simplex(f: SimplicialFamily, l) -> ClassSpan:
 def _fibers(f: SimplicialFamily):
     """Per base point ``p``, in order: ``(p, h, z)`` with ``h`` the fiber
     ``H(p)``, the truncated simplicial set of the fibers of the levels at
-    ``p`` and the components of the face and degeneracy maps there, and
-    ``z`` the map ``zeta_p : H(p) -> S`` by position (``z[n][k]`` is the
-    position of the simplex under the k-th element of ``H(p)_n``)."""
-    pos = f.sset._positions_view().pos
+    ``p`` and the components of the face and degeneracy maps there, known
+    by position (``TruncSSet._from_places``), and ``z`` the map ``zeta_p :
+    H(p) -> S`` by position (``z[n][k]`` is the position of the simplex
+    under the k-th element of ``H(p)_n``).  Every map is read through
+    ``_places_at``, so the places of a level's fiber are built only for a
+    map that stores none."""
+    spos = f.sset._positions_view().pos
     out = []
     for p in f.h0.base.points:
-        levels = [f.level(n).fibers[p] for n in (0, 1, 2)]
-        face = {k: m.comp[p] for k, m in f.face.items()}
-        degen = {k: m.comp[p] for k, m in f.degen.items()}
-        z = tuple(_images(f.zeta[n].comp[p], levels[n], pos[n]) for n in (0, 1, 2))
-        out.append((p, TruncSSet._trusted(*levels, face, degen), z))
+        levels = tuple(f.level(n).fibers[p] for n in (0, 1, 2))
+        pos = _LevelPlaces(levels)
+        face = {(n, i): _places_at(m, p, pos, n - 1) for (n, i), m in f.face.items()}
+        degen = {(n, i): _places_at(m, p, pos, n + 1) for (n, i), m in f.degen.items()}
+        z = tuple(_places_at(f.zeta[n], p, spos, n) for n in (0, 1, 2))
+        out.append((p, TruncSSet._from_places(levels, pos, face, degen), z))
     return out
 
 
@@ -279,7 +285,7 @@ def validate_selfdual(sf: SelfDualFamily):
     by_pos = []
     for p, h, z in fibers:
         pos = h._positions_view().pos
-        t1, t2 = _images(sf.tau1.comp[p], h.s1, pos[1]), _images(sf.tau2.comp[p], h.s2, pos[2])
+        t1, t2 = _places_at(sf.tau1, p, pos, 1), _places_at(sf.tau2, p, pos, 2)
         by_pos.append((h, z, (tuple(range(len(h.s0))), t1, t2)))
     for n, tau in ((1, sf.tau1), (2, sf.tau2)):
         rows = ((h, [(n, _after(z[n], t[n]), _after(ops[n - 1], z[n]))]) for h, z, t in by_pos)

@@ -37,6 +37,14 @@ sorted at most once, where it enters the library; the refinement builder
 emits its 2-simplices already in label order and sorts only its
 1-simplices (see ``simplicial`` for ``TruncSSet._trusted`` and the
 positional view of a simplicial set).
+
+A map may also be given by position, through the private
+``PresheafMap._placed``: per point, the place in the codomain's fiber of
+the image of each element of the domain's fiber.  Its ``comp`` dicts are
+built on first read, equal to those of the same map given by ``comp``, with
+the same value objects.  The refinement builder writes its maps out of and
+into H2 this way, so that a refinement whose H2 is only validated and
+checked for coverage holds no dict keyed by its elements.
 """
 
 from __future__ import annotations
@@ -271,11 +279,21 @@ class Presheaf:
 @dataclass
 class PresheafMap:
     """Natural transformation between presheaves on the same base, with a
-    component per point of the base; a component at another point raises."""
+    component per point of the base; a component at another point raises.
+
+    A placed map (``PresheafMap._placed``) is given by position: per point,
+    the place in the codomain's fiber of the image of each element of the
+    domain's fiber.  Its ``comp`` is built from the places on first read,
+    with the same keys, order and value objects as a map given by ``comp``,
+    so equality, ``repr`` and every reader of ``comp`` see no difference.
+    ``_places`` is None on any other map.
+    """
 
     dom: Presheaf
     cod: Presheaf
     comp: dict
+
+    _places = None
 
     def __post_init__(self):
         if self.dom.base != self.cod.base:
@@ -306,6 +324,29 @@ class PresheafMap:
         m = object.__new__(cls)
         m.dom, m.cod, m.comp = dom, cod, comp
         return m
+
+    @classmethod
+    def _placed(cls, dom, cod, places):
+        """A natural map by position: ``places[p]`` lists, in the order of
+        ``dom.fibers[p]``, the place of each image in ``cod.fibers[p]``, for
+        every base point; nothing is checked, and ``comp`` is built only
+        when it is read."""
+        m = object.__new__(cls)
+        m.dom, m.cod, m._places = dom, cod, places
+        return m
+
+    def __getattr__(self, name):
+        # called only for an attribute not found; of those, only ``comp``
+        # of a placed map is built, and kept
+        places = self.__dict__.get("_places")
+        if name != "comp" or places is None:
+            raise AttributeError(name)
+        dom, cod = self.dom, self.cod
+        self.comp = comp = {
+            p: dict(zip(dom.fibers[p], map(cod.fibers[p].__getitem__, places[p])))
+            for p in dom.base.points
+        }
+        return comp
 
     def apply(self, p, e):
         return self.comp[p][e]

@@ -21,6 +21,10 @@ face, degeneracy, zeta or tau map as the codomain's own object, read off by
 its place: the enumerated simplex label, or the element of H0, H1 or H2
 listed there.  A refined family so holds each label once, however many maps
 name it, and a lookup of one of its values finds the stored key itself.
+The seven maps out of H2 and into it are placed maps
+(``PresheafMap._placed``), written from the offsets of the runs of H1 and
+H2, so the build hashes no H2 element; the coverage check (``_uncovered``)
+reads them, like every map, through ``simplicial._places_at``.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .fintopos import (
     sorted_labels,
 )
 from .family import ClassSpan, SelfDualFamily, SimplicialFamily, span_of_1simplex
-from .simplicial import StrictDuality, TruncSSet, _overlaps, _values_along
+from .simplicial import StrictDuality, TruncSSet, _LevelPlaces, _overlaps, _places_at
 
 
 @dataclass
@@ -229,9 +233,10 @@ def _uncovered(f: SimplicialFamily, n, limits) -> dict:
     lims = [limits.get(key) for key in slot]
     hit = [defaultdict(set) for _ in slot]
     for p in base_points:
-        fiber = f.level(n).fibers[p]
-        simplex = map(ix.pos[n].__getitem__, _values_along(f.zeta[n].comp[p], fiber))
-        points = zip(*(_values_along(d.comp[p], fiber) for d in faces))
+        fiber, below = f.level(n).fibers[p], f.level(n - 1).fibers[p]
+        simplex = _places_at(f.zeta[n], p, ix.pos, n)
+        pos = _LevelPlaces((below,))
+        points = zip(*(map(below.__getitem__, _places_at(d, p, pos, 0)) for d in faces))
         inside = [None] * len(slot)
         for e, w, point in zip(fiber, simplex, points):
             k = slots[w]
@@ -390,6 +395,14 @@ def _two_simplices(by_pair, index, span, vertices, hom_list):
         yield ends, [(ci, x, y, z) for ci, xyz in join(*ends) for x, y, z in xyz]
 
 
+def _runs(sizes):
+    """Consecutive runs of places of the given sizes, as slices of one list
+    of ints, so equal places are one object."""
+    start = list(itertools.accumulate(sizes, initial=0))
+    places = list(range(start[-1]))
+    return [places[a:b] for a, b in zip(start, start[1:])]
+
+
 def _paired(runs):
     """The map that sends the elements of the first run of each pair, place
     by place, to those of the second."""
@@ -415,6 +428,13 @@ def _build_refinement(cover: Family, spans, vertices, hom_list) -> SelfDualFamil
     looked up in its fiber, and an element of H1 or H2 is the one at the
     place of its vertex element in the run of its simplex.  So no value is a
     fresh tuple, and equal labels inside the family are one object.
+
+    The faces d0, d1, d2, zeta_2 and tau_2 out of H2, and the degeneracies
+    s0 and s1 from H1 into H2, are placed maps (``PresheafMap._placed``):
+    their places are the offsets of those runs, computed from the run sizes
+    and, for a face, from the places of the 2-simplex's map into the vertex
+    of the face, once per such map.  No H2 element is hashed, and each
+    ``comp`` is built only if it is read.
     """
     comps = family_components(cover)
     base = cover.total.base
@@ -517,54 +537,60 @@ def _build_refinement(cover: Family, spans, vertices, hom_list) -> SelfDualFamil
     # simplex and its opposite or degenerate simplex share their vertex, so
     # the maps between their runs go place by place.  Per point, ``h1_at``
     # holds the H1 elements over each 1-simplex by vertex element, and
-    # ``runs`` the run of each 2-simplex in the H2 fiber, in the order of s2.
+    # ``run1`` and ``run2`` the places of the run of each 1-simplex and of
+    # each 2-simplex (in the order of s2), as slices of one list of ints.
+    # The maps out of H2 and into it are placed maps, written from these
+    # runs, so no H2 element is hashed.
     h0_at = {p: dict(zip(h0.fibers[p], h0.fibers[p])) for p in base.points}
-    h1_at = {}
-    d0, d1, d2, t2, t1, e0, e1 = ({} for _ in range(7))
+    h1_at, t1 = {}, {}
+    d0, d1, d2, z2, t2, e0, e1 = ({} for _ in range(7))
     for p in base.points:
         h1_at[p] = at = {}
         elems = iter(h1.fibers[p])
         for lab in s1:
             run = itertools.islice(elems, len(record[lab][0].vertex.fibers[p]))
             at[lab] = {e[1]: e for e in run}
-        fib = h2.fibers[p]
-        sizes = (len(vertices[ci].fibers[p]) for _, _, ci, _ in s2_faces.values())
-        start = list(itertools.accumulate(sizes, initial=0))
-        runs = [fib[a:b] for a, b in zip(start, start[1:])]
         t1[p] = _paired((at[lab].values(), at[op1[lab]].values()) for lab in s1)
-        t2[p] = _paired((run, runs[o]) for run, o in zip(runs, op_ord))
+        run1 = dict(zip(s1, _runs(len(at[lab]) for lab in s1)))
+        run2 = _runs(len(vertices[ci].fibers[p]) for _, _, ci, _ in s2_faces.values())
+        z2[p] = tuple(itertools.chain.from_iterable(itertools.repeat(o, len(r)) for o, r in enumerate(run2)))
+        t2[p] = tuple(itertools.chain.from_iterable(map(run2.__getitem__, op_ord)))
         e0[p], e1[p] = (
-            _paired((at[lab].values(), runs[o]) for lab, o in ords.items()) for ords in degen_ord
+            tuple(itertools.chain.from_iterable(run2[ords[lab]] for lab in s1)) for ords in degen_ord
         )
-        d0[p], d1[p], d2[p] = {}, {}, {}
-        for run, (_, (llab, tlab, rlab), _, (mx, my, mz)) in zip(runs, s2_faces.values()):
-            a0, a1, a2 = at[rlab], at[tlab], at[llab]
-            cx, cy, cz = mx.comp[p], my.comp[p], mz.comp[p]
-            for e in run:
-                x = e[1]
-                d0[p][e] = a0[cz[x]]
-                d1[p][e] = a1[cy[x]]
-                d2[p][e] = a2[cx[x]]
+        # the face of the run of a 2-simplex along its map ``m`` into the
+        # vertex of the 1-simplex ``lab``, per ``lab`` and ``m`` (named by
+        # its id, as the hom table keeps it alive), computed once
+        along = {lab: {} for lab in s1}
+        out = [], [], []
+        for _, ends, _, maps in s2_faces.values():
+            for places, lab, m in zip(out, ends, maps):
+                face = along[lab].get(id(m))
+                if face is None:
+                    within = _places_at(m, p, _LevelPlaces((m.cod.fibers[p],)), 0)
+                    face = along[lab][id(m)] = tuple(map(run1[lab].__getitem__, within))
+                places.extend(face)
+        d2[p], d1[p], d0[p] = map(tuple, out)
 
     hface = {
         (1, 0): tagmap(h1, h0, lambda p, e: h0_at[p][record[e[0]][0].right.apply(p, e[1])]),
         (1, 1): tagmap(h1, h0, lambda p, e: h0_at[p][record[e[0]][0].left.apply(p, e[1])]),
     }
-    for k, comp in enumerate((d0, d1, d2)):
-        hface[(2, k)] = PresheafMap._trusted(h2, h1, comp)
+    for k, places in enumerate((d0, d1, d2)):
+        hface[(2, k)] = PresheafMap._placed(h2, h1, places)
     hdegen = {
         (0, 0): tagmap(h0, h1, lambda p, e: h1_at[p][ident_lab[cover.zeta(p, e)]][e]),
-        (1, 0): PresheafMap._trusted(h1, h2, e0),
-        (1, 1): PresheafMap._trusted(h1, h2, e1),
+        (1, 0): PresheafMap._placed(h1, h2, e0),
+        (1, 1): PresheafMap._placed(h1, h2, e1),
     }
     zeta = (
         cover.struct_map,
         tagmap(h1, _constant(sset.s1, base), lambda p, e: e[0]),
-        tagmap(h2, _constant(sset.s2, base), lambda p, e: e[0]),
+        PresheafMap._placed(h2, _constant(sset.s2, base), z2),
     )
     fam = SimplicialFamily(h0, h1, h2, hface, hdegen, sset, zeta)
     tau1 = PresheafMap._trusted(h1, h1, t1)
-    return SelfDualFamily(fam, tau_s, tau1, PresheafMap._trusted(h2, h2, t2))
+    return SelfDualFamily(fam, tau_s, tau1, PresheafMap._placed(h2, h2, t2))
 
 
 def _all_spans(cover: Family, cls: SpanClass, hom_list):

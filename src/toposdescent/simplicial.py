@@ -22,6 +22,15 @@ the families and refinements compare positions instead of hashing
 nested-tuple labels again.  Positions never leave the library: every
 public object, message and report names simplices by their labels.
 
+``_places_at`` gives a presheaf map by position at one point: the places
+that a placed map (``PresheafMap._placed``) stores, or ``_images`` of the
+``comp`` of any other map against the places of its codomain's fiber,
+built (``_LevelPlaces``) only when such a map asks for them.  The family
+validators read each fiber ``H(p)`` of a family as a truncated simplicial
+set known by position only (``TruncSSet._from_places``), so a refinement
+whose maps out of H2 are placed is checked without a dict keyed by H2
+elements.
+
 Each law is written once, as rows of positions: ``_identities`` lists the
 twelve truncated simplicial identities, ``_squares`` the eight squares of
 level maps, covariant or contravariant.  :func:`validate`,
@@ -67,6 +76,30 @@ def _values_along(m: dict, keys):
 def _images(m, level, cod_pos):
     """The codomain positions of ``m`` along ``level`` (a total map)."""
     return tuple(map(cod_pos.__getitem__, _values_along(m, level)))
+
+
+def _places_at(m, p, pos, n):
+    """The places of the presheaf map ``m`` at the point ``p``: for each
+    element of ``m.dom.fibers[p]``, in order, the place of its image in
+    ``m.cod.fibers[p]``.  A placed map (``PresheafMap._placed``) stores
+    them; any other map gives ``_images`` of ``m.comp[p]`` against
+    ``pos[n]``, the places of that codomain fiber, which is read only then."""
+    if m._places is not None:
+        return m._places[p]
+    return _images(m.comp[p], m.dom.fibers[p], pos[n])
+
+
+class _LevelPlaces:
+    """``pos[n]``: the place of each simplex in ``levels[n]``, as a dict
+    built on first read."""
+
+    def __init__(self, levels):
+        self.levels, self.built = levels, {}
+
+    def __getitem__(self, n):
+        if n not in self.built:
+            self.built[n] = {x: k for k, x in enumerate(self.levels[n])}
+        return self.built[n]
 
 
 def _after(f, g):
@@ -139,6 +172,19 @@ class TruncSSet:
         x = object.__new__(cls)
         x.s0, x.s1, x.s2, x.face, x.degen = s0, s1, s2, face, degen
         x._positions = None
+        return x
+
+    @classmethod
+    def _from_places(cls, levels, pos, face, degen):
+        """A truncated simplicial set known by position only: its three
+        levels, their places ``pos`` (``_LevelPlaces`` of the levels, say),
+        and each face and degeneracy as a tuple of places, keyed by
+        ``FACE_KEYS`` and ``DEGEN_KEYS``.  It has no label maps (``face``
+        and ``degen`` are None): the family validators read each fiber
+        ``H(p)`` of a family this way, through ``_positions_view``, and
+        look no simplex up by label."""
+        x = cls._trusted(*levels, None, None)
+        x._positions = _Positions(pos, face, degen)
         return x
 
     def d(self, n, i, x):

@@ -7,7 +7,7 @@ import pytest
 
 import toposdescent as td
 from toposdescent.cli import main
-from toposdescent.serialize import family_to_json, udescent_to_json
+from toposdescent.serialize import family_from_json, family_to_json, udescent_to_json
 from conftest import swap_datum
 
 
@@ -470,3 +470,20 @@ def test_descend_on_a_stray_sigma_entry_reports_the_violation(tmp_path, mode, ca
     assert report == {
         "violations": ["entry over ('1','1') at 'pt' on ('a', 'z') off the cover"]
     }
+
+
+@pytest.mark.parametrize("name", ["chain-rep-and-lower", "vee-branches"])
+def test_descend_main1_reads_an_omitted_empty_table_as_empty(tmp_path, name, capsys):
+    # the first datum at bound 1 without its table of (1,2) at b, where the
+    # product is empty: the same datum as with the table written
+    cover_path = CORPUS / "covers" / f"{name}.json"
+    cover = family_from_json(json.loads(cover_path.read_text()))
+    datum = udescent_to_json(td.enumerate_u_descent_data(cover, 1)[0])
+    assert datum["sigma"]["(1,2)"]["b"] == {}
+    del datum["sigma"]["(1,2)"]["b"]
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    assert main(["descend", str(cover_path), str(path), "--check"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"violations": []}
+    assert main(["descend", str(cover_path), str(path), "--main1"]) == 0
+    assert json.loads(capsys.readouterr().out)["round_trip_residual"] == []

@@ -814,7 +814,8 @@ def test_refusals_of_the_checked_entries_are_pinned(case):
 # Entries off the cover: an entry of a cover datum over a pair the cover
 # does not have ends the check; one at a point or an element the cover does
 # not have is a fault of its pair, like a missing value, so the first
-# faulty pair ends the check and no law is checked.  Trivializations with a
+# faulty pair ends the check and no law is checked.  A family datum is
+# checked alike, by 1-simplex and component.  Trivializations with a
 # missing or repeating carrier are refused with the carrier's fault.
 
 
@@ -850,6 +851,20 @@ STRAY_CASES = {
     "u/stray-under-chain": lambda: td.validate_u_descent(
         u_datum("chain-constants", at(("1", "2"), "b", ("z", "x"), SWAP))
     ),
+    "h/stray-element": lambda: td.validate_h_descent(
+        h_datum("point-1x2", at(("1", "1"), "pt", ("a", "z"), {0: 0, 1: 1}))
+    ),
+    "h/stray-point": lambda: td.validate_h_descent(h_datum("point-1x2", stray_point)),
+    "h/stray-simplex": lambda: td.validate_h_descent(h_datum("point-1x2", put(("1", "3"), {"pt": {}}))),
+    "h/stray-simplex-ends-the-check": lambda: td.validate_h_descent(
+        h_datum("point-1x2", both(at(("1", "2"), "pt", ("a", "c")), put("#9", {}), stray_point))
+    ),
+    "h/value-and-stray-at-one-simplex": lambda: td.validate_h_descent(
+        h_datum("point-1x2", both(at(("1", "2"), "pt", ("a", "c")), at(("1", "2"), "pt", ("c", "a"), SWAP)))
+    ),
+    "h/stray-under-chain": lambda: td.validate_h_descent(
+        h_datum("chain-constants", at(("1", "2"), "b", ("z", "x"), SWAP))
+    ),
     "trivialization/missing-carrier": lambda: td.validate_trivialization(glued_with_carrier({"1": (0, 1)})),
     "trivialization/repeated-carrier": lambda: td.validate_trivialization(
         glued_with_carrier({"1": (0, 1), "2": (0, 0, 1)})
@@ -860,6 +875,15 @@ STRAY_CASES = {
 
 EXPECTED_STRAY = {
     "extract/missing-carrier": ["ValueError", "invalid trivialization: carrier missing at '2'"],
+    "h/stray-element": ["entry at ('1', '1'), point 'pt', element ('a', 'z') off the family"],
+    "h/stray-point": ["entry at ('1', '2'), point 'q' off the family"],
+    "h/stray-simplex": ["entry at ('1', '3') off the family"],
+    "h/stray-simplex-ends-the-check": ["entry at '#9' off the family"],
+    "h/stray-under-chain": ["entry at ('1', '2'), point 'b', element ('z', 'x') off the family"],
+    "h/value-and-stray-at-one-simplex": [
+        "missing value at ('1', '2'), point 'pt', element ('a', 'c')",
+        "entry at ('1', '2'), point 'pt', element ('c', 'a') off the family",
+    ],
     "trivialization/missing-carrier": ["carrier missing at '2'"],
     "trivialization/repeated-carrier": ["carrier at '2' lists an element twice"],
     "u/first-faulty-pair-ends-the-check": ["entry over ('1','2') at 'q' off the cover"],
@@ -879,3 +903,28 @@ EXPECTED_STRAY = {
 @pytest.mark.parametrize("case", sorted(STRAY_CASES))
 def test_entries_off_the_cover_and_bad_trivialization_carriers_are_pinned(case):
     assert STRAY_CASES[case]() == EXPECTED_STRAY[case]
+
+
+def test_a_family_datum_with_a_stray_entry_is_refused():
+    # the round trip through the cover would drop the entry
+    h = h_datum("point-1x2", at(("1", "1"), "pt", ("a", "z"), {0: 0, 1: 1}))
+    with pytest.raises(ValueError, match="element \\('a', 'z'\\) off the family"):
+        td.h_to_u(h, dict(generated_covers())["point-1x2"])
+
+
+# Each datum of the fixture at bound 2, pulled back over the Čech family with
+# two elements of H2 moved off their 2-simplices: the elements are reported,
+# and their cocycle laws are not read.
+EXPECTED_OFF_A_TRIANGLE = [
+    "faces of ('a', 'b', 'c') at 'pt' lie off those of 2-simplex ('1', '1', '2')",
+    "faces of ('c', 'c', 'a') at 'pt' lie off those of 2-simplex ('2', '1', '1')",
+]
+
+
+def test_elements_off_their_triangles_are_reported_not_raised():
+    cover = dict(generated_covers())["point-1x2"]
+    sf = with_base(zeta_off_a_triangle())
+    data = td.enumerate_u_descent_data(cover, 2)
+    assert len(data) == 6
+    for u in data:
+        assert td.validate_h_descent(td.u_to_h(u, sf)) == EXPECTED_OFF_A_TRIANGLE

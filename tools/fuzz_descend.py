@@ -2,12 +2,17 @@
 
     python3 tools/fuzz_descend.py
 
-Each example takes one datum of ``perfbench/corpus/data/point-1x2-bound3.json``
-and makes one edit to it: a carrier element replaced or added, an entry
+Each example takes one datum of a cover and makes one edit to it: a
+carrier element replaced or added, an entry dropped, an empty point table
 dropped, a sigma value changed, a stray key added, or a value swapped for
-one of another type.  The edited datum goes through ``cli.main`` on the
-``point-1x2`` cover with ``--check``, ``--glue``, ``--covproj`` and
-``--main1``, and each run must keep the CLI's contract:
+one of another type.  The data are those of
+``perfbench/corpus/data/point-1x2-bound3.json`` on the one-point cover
+``point-1x2``, and the 4 data at bound 2 of ``chain-rep-and-lower``, a
+cover of the two-point chain, enumerated and written by
+``udescent_to_json`` here; some of its pairwise products are empty at a
+point.  The edited datum goes through ``cli.main`` on its cover with
+``--check``, ``--glue``, ``--covproj`` and ``--main1``, and each run must
+keep the CLI's contract:
 
 - the exit code is 0, 1 or 2;
 - exit 2 prints exactly one ``error:`` line;
@@ -36,26 +41,34 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from toposdescent.cli import main as cli_main  # noqa: E402
-from toposdescent.serialize import family_from_json, udescent_from_json  # noqa: E402
+from toposdescent.descent import enumerate_u_descent_data  # noqa: E402
+from toposdescent.serialize import family_from_json, udescent_from_json, udescent_to_json  # noqa: E402
 
-COVER = ROOT / "perfbench" / "corpus" / "covers" / "point-1x2.json"
-DATA = ROOT / "perfbench" / "corpus" / "data" / "point-1x2-bound3.json"
+CORPUS = ROOT / "perfbench" / "corpus"
+COVERS = ("point-1x2", "chain-rep-and-lower")
 MODES = ("--check", "--glue", "--covproj", "--main1")
 LABELS = ("#0", "#1", "#2", "#9", "x", "")
 STRAY_KEYS = ("3", "(1,3)", "(3,1)", "q", "(a,z)", "#9", "extra")
 OTHER_TYPES = (None, 0, 1.5, True, "x", [], {}, ["#0"], {"#0": "#0"})
-KINDS = ("carrier", "drop", "sigma", "stray", "type")
+KINDS = ("carrier", "drop", "empty", "sigma", "stray", "type")
 EXAMPLES = 2000
 
 
-@lru_cache(maxsize=None)
-def corpus_data():
-    return tuple(json.loads(DATA.read_text())["data"])
+def cover_path(name):
+    return CORPUS / "covers" / f"{name}.json"
 
 
 @lru_cache(maxsize=None)
-def cover():
-    return family_from_json(json.loads(COVER.read_text()))
+def cover(name):
+    return family_from_json(json.loads(cover_path(name).read_text()))
+
+
+@lru_cache(maxsize=None)
+def corpus_data(name):
+    """The data of the named cover, as documents."""
+    if name == "point-1x2":
+        return tuple(json.loads((CORPUS / "data" / "point-1x2-bound3.json").read_text())["data"])
+    return tuple(udescent_to_json(u) for u in enumerate_u_descent_data(cover(name), 2))
 
 
 def _nodes(doc, path=()):
@@ -77,9 +90,11 @@ def _at(doc, path):
 
 @st.composite
 def edited_data(draw):
-    """``(index, kind, path, doc)``: datum ``index`` with one edit of ``kind``
-    at ``path``."""
-    data = corpus_data()
+    """``(name, index, kind, path, doc)``: datum ``index`` of the cover
+    ``name`` with one edit of ``kind`` at ``path``; an ``empty`` edit of a
+    datum without an empty point table leaves it as it is."""
+    name = draw(st.sampled_from(COVERS))
+    data = corpus_data(name)
     index = draw(st.integers(0, len(data) - 1))
     doc = copy.deepcopy(data[index])
     kind = draw(st.sampled_from(KINDS))
@@ -97,6 +112,11 @@ def edited_data(draw):
     elif kind == "drop":
         path = draw(st.sampled_from([p for p in paths if p and isinstance(_at(doc, p[:-1]), dict)]))
         del _at(doc, path[:-1])[path[-1]]
+    elif kind == "empty":
+        empty = [p for p in paths if len(p) == 3 and p[0] == "sigma" and _at(doc, p) == {}]
+        path = draw(st.sampled_from(empty)) if empty else ()
+        if path:
+            del _at(doc, path[:-1])[path[-1]]
     elif kind == "sigma":
         leaves = [p for p in paths if len(p) == 5 and p[0] == "sigma"]
         path = draw(st.sampled_from(leaves)) if leaves else ("carriers",)
@@ -116,35 +136,35 @@ def edited_data(draw):
             _at(doc, path[:-1])[path[-1]] = new
         else:
             doc = new
-    return index, kind, path, doc
+    return name, index, kind, path, doc
 
 
-def run_descend(datum_path, mode):
-    """``cli.main`` on the cover and the datum file: exit code, stdout and
-    stderr.  An exception that ``cli.main`` lets out propagates."""
+def run_descend(name, datum_path, mode):
+    """``cli.main`` on the named cover and the datum file: exit code, stdout
+    and stderr.  An exception that ``cli.main`` lets out propagates."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(["descend", str(COVER), str(datum_path), mode])
+        code = cli_main(["descend", str(cover_path(name)), str(datum_path), mode])
     return code, out.getvalue(), err.getvalue()
 
 
 def check(case):
     """Raise ``AssertionError`` unless every mode keeps the contract on the
     edited datum of ``case``."""
-    _, _, _, doc = case
+    name, _, _, _, doc = case
     codes = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "datum.json"
         path.write_text(json.dumps(doc))
         for mode in MODES:
-            code, _, err = run_descend(path, mode)
+            code, _, err = run_descend(name, path, mode)
             codes[mode] = code
             assert code in (0, 1, 2), f"{mode}: exit code {code!r}"
             if code == 2:
                 lines = err.splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error: "), f"{mode}: stderr {err!r}"
             if mode == "--check" and code == 0:
-                u = udescent_from_json(doc, cover())
+                u = udescent_from_json(doc, cover(name))
                 for i, car in u.carrier.items():
                     assert len(set(car)) == len(car), f"--check accepted a repeated carrier at {i!r}"
     if codes["--check"] == 0:
@@ -161,11 +181,11 @@ def main():
     )
     @given(edited_data())
     def fuzz(case):
-        index, kind, path, _ = case
+        name, index, kind, path, _ = case
         try:
             check(case)
         except Exception as exc:
-            raise AssertionError(f"datum {index}, {kind} edit at {path!r}: {type(exc).__name__}: {exc}")
+            raise AssertionError(f"{name} datum {index}, {kind} edit at {path!r}: {type(exc).__name__}: {exc}")
 
     try:
         fuzz()
