@@ -23,7 +23,7 @@ listed there.  A refined family so holds each label once, however many maps
 name it, and a lookup of one of its values finds the stored key itself.
 The seven maps out of H2 and into it are placed maps
 (``PresheafMap._placed``), written from the offsets of the runs of H1 and
-H2, so the build hashes no H2 element; the coverage check (``_uncovered``)
+H2, so no map of the build hashes an H2 element; the coverage check (``_uncovered``)
 reads them, like every map, through ``simplicial._places_at``.
 """
 
@@ -433,7 +433,7 @@ def _build_refinement(cover: Family, spans, vertices, hom_list) -> SelfDualFamil
     s0 and s1 from H1 into H2, are placed maps (``PresheafMap._placed``):
     their places are the offsets of those runs, computed from the run sizes
     and, for a face, from the places of the 2-simplex's map into the vertex
-    of the face, once per such map.  No H2 element is hashed, and each
+    of the face, once per such map.  No map hashes an H2 element, and each
     ``comp`` is built only if it is read.
     """
     comps = family_components(cover)
@@ -540,7 +540,7 @@ def _build_refinement(cover: Family, spans, vertices, hom_list) -> SelfDualFamil
     # ``run1`` and ``run2`` the places of the run of each 1-simplex and of
     # each 2-simplex (in the order of s2), as slices of one list of ints.
     # The maps out of H2 and into it are placed maps, written from these
-    # runs, so no H2 element is hashed.
+    # runs, so none of them hashes an H2 element.
     h0_at = {p: dict(zip(h0.fibers[p], h0.fibers[p])) for p in base.points}
     h1_at, t1 = {}, {}
     d0, d1, d2, z2, t2, e0, e1 = ({} for _ in range(7))

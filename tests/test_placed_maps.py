@@ -26,7 +26,15 @@ from conftest import generated_covers
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GENERATED = dict(generated_covers())
 ZERO_SPAN = ("point-3x1", "chain-two-reps", "point-1x2")
-PLACED = (("face", (2, 0)), ("face", (2, 1)), ("face", (2, 2)), ("degen", (1, 0)), ("degen", (1, 1)), ("zeta", 2), ("tau2", None))
+PLACED = (
+    ("face", (2, 0)),
+    ("face", (2, 1)),
+    ("face", (2, 2)),
+    ("degen", (1, 0)),
+    ("degen", (1, 1)),
+    ("zeta", 2),
+    ("tau2", None),
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +53,10 @@ def zero_span(name):
 
 
 def get(sf, which, key):
+    if which == "tau2":
+        return sf.tau2
     f = sf.base
-    return {"face": lambda: f.face[key], "degen": lambda: f.degen[key], "zeta": lambda: f.zeta[key], "tau2": lambda: sf.tau2}[which]()
+    return {"face": f.face, "degen": f.degen, "zeta": f.zeta}[which][key]
 
 
 def rebuilt(sf, convert):
